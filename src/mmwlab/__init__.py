@@ -9,20 +9,17 @@ drops (`simulate`), and exposes both through one CLI (`mmwlab`).
 """
 
 from .analytic import (AnalyticReport, DomainError, InfiniteLosDistance,
-                       QuadratureError, QuadratureSettings, analytic_report,
-                       average_rate, coverage, coverage_far, coverage_near,
-                       coverage_with_noise, effective_mainlobe_radius,
-                       los_distance, mean_load_far, mean_load_near,
-                       noise_power_dbm, optimal_bias_coverage,
+                       QuadratureError, analytic_report, average_rate,
+                       coverage, coverage_far, coverage_near,
+                       effective_mainlobe_radius, los_distance, mean_load_far,
+                       mean_load_near, noise_power_dbm, optimal_bias_coverage,
                        optimal_bias_rate, ue_densities)
 from .association import (Association, BsRole, BsState, associate_all,
-                          associate_rsrp, classify_bs, classify_many, rsrp,
-                          schedule)
+                          classify_bs, classify_many, schedule)
 from .geometry import (Building, BuildingField, EmptyFieldError, RegionClass,
-                       Wall, Window, classify_point, classify_points,
-                       discovery_angle, dump_scene_csv, los_between,
-                       los_pairs, los_to_many, nearest_wall,
-                       sample_buildings, sample_ppp)
+                       Wall, Window, classify_point, discovery_angle,
+                       facing_wall, los_pairs, los_to_many, sample_buildings,
+                       sample_ppp)
 from .scenario import (PRESETS, CityPreset, ConfigError, ScenarioParams,
                        ValidationOutcome, load_config, params_for_city,
                        parse_config, preset, validate)
@@ -35,16 +32,15 @@ __all__ = [
     "AnalyticReport", "Association", "BsRole", "BsState", "Building",
     "BuildingField", "CityPreset", "ConfigError", "DomainError",
     "DropSample", "EmptyFieldError", "EstimateSummary", "MetricStats",
-    "InfiniteLosDistance", "PRESETS", "QuadratureError", "QuadratureSettings",
-    "RegionClass", "ScenarioParams", "SimMode", "ValidationOutcome", "Wall",
-    "Window", "analytic_report", "associate_all", "associate_rsrp",
-    "average_rate", "classify_bs", "classify_many", "classify_point",
-    "classify_points", "coverage", "coverage_far", "coverage_near",
-    "coverage_with_noise", "discovery_angle", "dump_scene_csv", "estimate",
-    "effective_mainlobe_radius", "load_config", "los_between", "los_distance",
-    "los_pairs", "los_to_many", "mean_load_far", "mean_load_near",
-    "nearest_wall", "noise_power_dbm", "optimal_bias_coverage",
+    "InfiniteLosDistance", "PRESETS", "QuadratureError", "RegionClass",
+    "ScenarioParams", "SimMode", "ValidationOutcome", "Wall", "Window",
+    "analytic_report", "associate_all", "average_rate", "classify_bs",
+    "classify_many", "classify_point", "coverage", "coverage_far",
+    "coverage_near", "discovery_angle", "estimate",
+    "effective_mainlobe_radius", "facing_wall", "load_config",
+    "los_distance", "los_pairs", "los_to_many", "mean_load_far",
+    "mean_load_near", "noise_power_dbm", "optimal_bias_coverage",
     "optimal_bias_rate", "params_for_city", "parse_config", "preset",
-    "realize", "rsrp", "sample_buildings", "sample_ppp", "schedule",
+    "realize", "sample_buildings", "sample_ppp", "schedule",
     "ue_densities", "validate", "__version__",
 ]

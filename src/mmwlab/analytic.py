@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erf
 
-_PER_KM2_TO_M2 = 1e-6
+from .scenario import _PER_KM2_TO_M2
 
 
 class DomainError(ValueError):
@@ -39,21 +39,10 @@ class QuadratureError(ArithmeticError):
         self.achieved_abs_err = achieved_abs_err
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdiv: int = 200
-
-
-_DEFAULT_QUAD = QuadratureSettings()
-
-
-def _quad(f, a: float, b: float, settings: QuadratureSettings) -> float:
+def _quad(f, a: float, b: float) -> float:
     if b <= a:
         return 0.0
-    out = integrate.quad(f, a, b, epsabs=settings.abs_tol,
-                         epsrel=settings.rel_tol, limit=settings.max_subdiv,
+    out = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-8, limit=200,
                          full_output=1)
     if len(out) > 3:
         raise QuadratureError(
@@ -217,9 +206,7 @@ def _coverage_pieces(params, beta: float):
     return r_l, r_b, lam_b, half_alpha, t2a, p_a, gs_mult
 
 
-def coverage_far(params, beta: float,
-                 settings: QuadratureSettings = _DEFAULT_QUAD,
-                 with_noise: bool = False) -> float:
+def coverage_far(params, beta: float, with_noise: bool = False) -> float:
     """SIR coverage P(SIR > t) of a typical open-space UE, clamped to [0, 1].
 
     Serving BS is the nearest in the mean-LOS disk; interferers closer
@@ -245,13 +232,11 @@ def coverage_far(params, beta: float,
         return 2.0 * math.pi * lam_b * r \
             * math.exp(-math.pi * lam_b * r * r * (1.0 + bands)) * noise_mult(r)
 
-    val = _quad(inner, 0.0, r_b, settings) + _quad(inner, r_b, r_l, settings)
+    val = _quad(inner, 0.0, r_b) + _quad(inner, r_b, r_l)
     return min(max(val, 0.0), 1.0)
 
 
-def coverage_near(params, beta: float,
-                  settings: QuadratureSettings = _DEFAULT_QUAD,
-                  with_noise: bool = False) -> float:
+def coverage_near(params, beta: float, with_noise: bool = False) -> float:
     """SIR coverage of a typical wall-attached UE, clamped to [0, 1].
 
     The UE sees a half-disk of radius r_l. Interferers within r_1 of the
@@ -285,24 +270,16 @@ def coverage_near(params, beta: float,
         return math.pi * lam_b * r \
             * math.exp(-(math.pi / 2.0) * lam_b * rr * (1.0 + bands)) * noise_mult(r)
 
-    val = _quad(inner, 0.0, r_1, settings) + _quad(inner, r_1, r_l, settings)
+    val = _quad(inner, 0.0, r_1) + _quad(inner, r_1, r_l)
     return min(max(val, 0.0), 1.0)
 
 
-def coverage(params, beta: float,
-             settings: QuadratureSettings = _DEFAULT_QUAD,
-             with_noise: bool = False) -> float:
+def coverage(params, beta: float, with_noise: bool = False) -> float:
     """Population SIR coverage: gamma_c-weighted mix of both UE classes."""
     gc = params.gamma_c
-    s_n = coverage_near(params, beta, settings, with_noise) if gc > 0.0 else 0.0
-    s_r = coverage_far(params, beta, settings, with_noise) if gc < 1.0 else 0.0
+    s_n = coverage_near(params, beta, with_noise) if gc > 0.0 else 0.0
+    s_r = coverage_far(params, beta, with_noise) if gc < 1.0 else 0.0
     return min(max(gc * s_n + (1.0 - gc) * s_r, 0.0), 1.0)
-
-
-def coverage_with_noise(params, beta: float,
-                        settings: QuadratureSettings = _DEFAULT_QUAD) -> float:
-    """SINR coverage under the independent signal/noise split."""
-    return coverage(params, beta, settings, with_noise=True)
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +381,35 @@ def mean_load_near(params, beta: float, literal_load_trigger: bool = False) -> f
     return num / (1.0 - math.exp(-math.pi * lam_b * r_l * r_l / 2.0))
 
 
-def average_rate(params, beta: float,
-                 settings: QuadratureSettings = _DEFAULT_QUAD,
-                 literal_load_trigger: bool = False,
-                 log_base: float = 2.0) -> float:
-    """Mean per-UE rate [bit/s]: load-shared spectral efficiency at the
-    coverage threshold, mixed over the two UE classes."""
-    spectral = math.log(1.0 + params.t) / math.log(log_base)
+def _mixed_rate(params, s_n, n_n, s_r, n_r) -> float:
+    """Mean per-UE rate [bit/s] from each class's coverage s and mean load n:
+    load-shared spectral efficiency at the threshold, gamma_c-weighted. A
+    class with zero weight is skipped, so its s and n may be None."""
+    spectral = math.log(1.0 + params.t) / math.log(2.0)
     w = params.bandwidth_w
     gc = params.gamma_c
-    noisy = params.include_noise
     total = 0.0
     if gc > 0.0:
-        s_n = coverage_near(params, beta, settings, with_noise=noisy)
-        n_n = mean_load_near(params, beta, literal_load_trigger)
         total += w * gc * s_n * spectral / (1.0 + n_n)
     if gc < 1.0:
-        s_r = coverage_far(params, beta, settings, with_noise=noisy)
-        n_r = mean_load_far(params, beta, literal_load_trigger)
         total += w * (1.0 - gc) * s_r * spectral / (1.0 + n_r)
     return total
+
+
+def average_rate(params, beta: float,
+                 literal_load_trigger: bool = False) -> float:
+    """Mean per-UE rate [bit/s]: load-shared spectral efficiency at the
+    coverage threshold, mixed over the two UE classes."""
+    gc = params.gamma_c
+    noisy = params.include_noise
+    s_n = n_n = s_r = n_r = None
+    if gc > 0.0:
+        s_n = coverage_near(params, beta, with_noise=noisy)
+        n_n = mean_load_near(params, beta, literal_load_trigger)
+    if gc < 1.0:
+        s_r = coverage_far(params, beta, with_noise=noisy)
+        n_r = mean_load_far(params, beta, literal_load_trigger)
+    return _mixed_rate(params, s_n, n_n, s_r, n_r)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +454,7 @@ def _grid_refine_max(f, lo: float, hi: float,
     return float(xs[i]), float(vals[i])
 
 
-def optimal_bias_coverage(params,
-                          settings: QuadratureSettings = _DEFAULT_QUAD) -> tuple[float, float]:
+def optimal_bias_coverage(params) -> tuple[float, float]:
     """(beta*, S*) maximizing population coverage.
 
     Beyond beta = tan(theta/2)*r_l/d_l the wall-attached coverage freezes
@@ -478,7 +463,7 @@ def optimal_bias_coverage(params,
     maximum.
     """
     def f(b):
-        return coverage(params, b, settings)
+        return coverage(params, b)
 
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
     knee = math.tan(params.theta / 2.0) * r_l / params.d_l
@@ -492,7 +477,6 @@ def optimal_bias_coverage(params,
 
 
 def optimal_bias_rate(params,
-                      settings: QuadratureSettings = _DEFAULT_QUAD,
                       literal_load_trigger: bool = False) -> tuple[float, float]:
     """(beta*, rate*) maximizing the average per-UE rate.
 
@@ -501,12 +485,12 @@ def optimal_bias_rate(params,
     values whose load model leaves the admissible domain are skipped.
     """
     if params.lambda_u / params.lambda_b < 1e-3:
-        beta_s, _ = optimal_bias_coverage(params, settings)
-        return beta_s, average_rate(params, beta_s, settings, literal_load_trigger)
+        beta_s, _ = optimal_bias_coverage(params)
+        return beta_s, average_rate(params, beta_s, literal_load_trigger)
 
     def f(b):
         try:
-            return average_rate(params, b, settings, literal_load_trigger)
+            return average_rate(params, b, literal_load_trigger)
         except DomainError:
             return -math.inf
 
@@ -547,7 +531,6 @@ class AnalyticReport:
 
 
 def analytic_report(params, beta: float | None = None,
-                    settings: QuadratureSettings = _DEFAULT_QUAD,
                     literal_load_trigger: bool = False) -> AnalyticReport:
     """Evaluate the full analytic chain at one bias point."""
     b = params.beta if beta is None else beta
@@ -559,17 +542,15 @@ def analytic_report(params, beta: float | None = None,
     p_a = mainlobe_thinning_prob(params.theta, params.g_s / params.g_m, params.alpha)
     p_ell = region1_interferer_prob(params.theta, p_a)
     noisy = params.include_noise
-    s_n = coverage_near(params, b, settings, with_noise=noisy)
-    s_r = coverage_far(params, b, settings, with_noise=noisy)
+    s_n = coverage_near(params, b, with_noise=noisy)
+    s_r = coverage_far(params, b, with_noise=noisy)
     s = min(max(params.gamma_c * s_n + (1.0 - params.gamma_c) * s_r, 0.0), 1.0)
     n_n = mean_load_near(params, b, literal_load_trigger)
     n_r = mean_load_far(params, b, literal_load_trigger)
-    spectral = math.log2(1.0 + params.t)
-    rate = params.bandwidth_w * (params.gamma_c * s_n * spectral / (1.0 + n_n)
-                                 + (1.0 - params.gamma_c) * s_r * spectral / (1.0 + n_r))
+    rate = _mixed_rate(params, s_n, n_n, s_r, n_r)
     ratio = None
     if noisy:
-        s_clean = coverage(params, b, settings, with_noise=False)
+        s_clean = coverage(params, b, with_noise=False)
         ratio = s / s_clean if s_clean > 0 else 1.0
     return AnalyticReport(beta=b, r_l=r_l, r_beta=r_b, lambda_n=lam_n,
                           lambda_r=lam_r, p_a=p_a, p_ell=p_ell, s_n=s_n,

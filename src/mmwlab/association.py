@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import (BuildingField, Wall, discovery_angle, los_between,
-                       los_pairs, nearest_wall)
+from .geometry import (BuildingField, Wall, angular_offset, discovery_angle,
+                       facing_wall, los_pairs)
 
 PATH_REFERENCE = 0   # discovered via broadcast reference signal
 PATH_PILOT = 1       # fallback: BS heard the UE's reverse pilot
@@ -66,7 +66,8 @@ def classify_bs(position, field: BuildingField, theta: float, beta: float,
     pos = (float(position[0]), float(position[1]))
     if len(field) == 0:
         return BsState(index, pos, BsRole.OBS, 0.0, 2.0 * math.pi, None)
-    w = wall if wall is not None else nearest_wall(pos, field)
+    w = wall if wall is not None \
+        else facing_wall(pos, field, field.nearest_building(pos))
     span = discovery_angle(pos, w, beta)
     mx, my = w.midpoint
     bore = math.atan2(my - pos[1], mx - pos[0])
@@ -87,62 +88,9 @@ def classify_many(bs_xy: np.ndarray, field: BuildingField, theta: float,
     states = []
     for i in range(len(bs_xy)):
         pos = (bs_xy[i, 0], bs_xy[i, 1])
-        w = _facing_wall(pos, field, int(owners[i]))
+        w = facing_wall(pos, field, int(owners[i]))
         states.append(classify_bs(pos, field, theta, beta, index=i, wall=w))
     return states
-
-
-def _facing_wall(pos, field: BuildingField, bi: int) -> Wall:
-    """nearest_wall with the owning building already known."""
-    from .geometry import _point_segment_distance
-    best = None
-    best_d = math.inf
-    for w in field.buildings[bi].walls(owner=bi):
-        mx, my = w.midpoint
-        nx, ny = w.outward_normal
-        if (pos[0] - mx) * nx + (pos[1] - my) * ny <= 0.0:
-            continue
-        d = _point_segment_distance(pos, w.v1, w.v2)
-        if d < best_d:
-            best, best_d = w, d
-    if best is None:
-        walls = field.buildings[bi].walls(owner=bi)
-        dists = [_point_segment_distance(pos, w.v1, w.v2) for w in walls]
-        best = walls[int(np.argmin(dists))]
-    return best
-
-
-def _angular_offset(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * math.pi)
-    return 2.0 * math.pi - d if d > math.pi else d
-
-
-def in_discovery_cone(bs: BsState, ue) -> bool:
-    """Whether the UE direction falls inside the BS's discovery cone.
-
-    The cone edge is inclusive; omni BSs accept everything.
-    """
-    if bs.discovery_range >= 2.0 * math.pi:
-        return True
-    ang = math.atan2(ue[1] - bs.position[1], ue[0] - bs.position[0])
-    return _angular_offset(ang, bs.boresight) <= bs.discovery_range / 2.0
-
-
-def rsrp(ue, bs: BsState, field: BuildingField, params,
-         h: float | None = None, ignore_cone: bool = False) -> float:
-    """Received reference-signal power at the UE from one BS.
-
-    Zero when the link is blocked or (unless ignore_cone) the UE sits
-    outside the discovery cone. h=None gives fading-averaged power.
-    """
-    if not ignore_cone and not in_discovery_cone(bs, ue):
-        return 0.0
-    if not los_between(ue, bs.position, field):
-        return 0.0
-    r = math.hypot(ue[0] - bs.position[0], ue[1] - bs.position[1])
-    r = max(r, 1e-9)
-    fade = 1.0 if h is None else h
-    return params.g_m * fade * r ** (-params.alpha)
 
 
 def _masked_nearest(d2_row: np.ndarray, mask: np.ndarray) -> int:
@@ -157,22 +105,23 @@ def _masked_nearest(d2_row: np.ndarray, mask: np.ndarray) -> int:
 
 
 def _cone_mask(bs_states: list[BsState], ue_xy: np.ndarray) -> np.ndarray:
-    """(n_ue, n_bs) mask: UE inside that BS's discovery cone."""
+    """(n_ue, n_bs) mask: UE inside that BS's discovery cone.
+
+    The cone edge is inclusive; omni BSs accept everything.
+    """
     n_ue, n_bs = len(ue_xy), len(bs_states)
     mask = np.ones((n_ue, n_bs), dtype=bool)
     for j, bs in enumerate(bs_states):
         if bs.discovery_range >= 2.0 * math.pi:
             continue
         ang = np.arctan2(ue_xy[:, 1] - bs.position[1], ue_xy[:, 0] - bs.position[0])
-        off = np.abs(ang - bs.boresight) % (2.0 * math.pi)
-        off = np.where(off > math.pi, 2.0 * math.pi - off, off)
-        mask[:, j] = off <= bs.discovery_range / 2.0
+        mask[:, j] = angular_offset(ang, bs.boresight) <= bs.discovery_range / 2.0
     return mask
 
 
 def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
-                  field: BuildingField, params,
-                  use_cones: bool = True, k_candidates: int = 16) -> Association:
+                  field: BuildingField, use_cones: bool = True,
+                  k_candidates: int = 16) -> Association:
     """Associate every UE. Deterministic: no randomness, ties by BS index.
 
     Averaged RSRP with a common main-lobe gain makes the winner the
@@ -243,12 +192,6 @@ def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
                 if j >= 0:
                     serving[u], path[u] = j, PATH_PILOT
     return Association(serving, path)
-
-
-def associate_rsrp(ue_xy: np.ndarray, bs_states: list[BsState],
-                   field: BuildingField, params) -> Association:
-    """Baseline engine: plain max averaged RSRP over all LOS BSs."""
-    return associate_all(ue_xy, bs_states, field, params, use_cones=False)
 
 
 def schedule(bs_index: int, assoc: Association, rng: np.random.Generator) -> int | None:

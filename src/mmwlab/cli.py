@@ -35,7 +35,8 @@ from .scenario import (
     params_for_city,
     validate,
 )
-from .simulate import RULE_BUILDING_AWARE, RULE_MAX_RSRP, SimMode, estimate
+from .simulate import (RULE_BUILDING_AWARE, RULE_MAX_RSRP, SimMode, estimate,
+                       format_cell)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,27 +64,17 @@ SIM_SUMMARY_COLUMNS = [
 _MODES = {"full": SimMode.FULL_GEOMETRY, "losball": SimMode.LOS_BALL}
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def _row(values) -> str:
-    return ",".join(_fmt(v) for v in values)
+    return ",".join(format_cell(v) for v in values)
 
 
 def _header(cmd: str, params: ScenarioParams | None, seed=None, **extra) -> str:
     parts = [f"# mmwlab {__version__} schema={_SCHEMA} cmd={cmd}",
              f"seed={'-' if seed is None else seed}"]
     for key, val in extra.items():
-        parts.append(f"{key}={_fmt(val)}")
+        parts.append(f"{key}={format_cell(val)}")
     if params is not None:
-        parts.extend(f"{f.name}={_fmt(getattr(params, f.name))}"
+        parts.extend(f"{f.name}={format_cell(getattr(params, f.name))}"
                      for f in fields(params))
     return " ".join(parts)
 

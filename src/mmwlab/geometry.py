@@ -8,14 +8,13 @@ Distances in meters, densities per km^2, angles in radians.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-_PER_KM2_TO_M2 = 1e-6
+from .scenario import _PER_KM2_TO_M2
 
 
 class EmptyFieldError(ValueError):
@@ -122,25 +121,16 @@ class BuildingField:
         v = -d[:, 0] * self.sin_o[i] + d[:, 1] * self.cos_o[i]
         return u, v
 
-    def boundary_distances(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(min distance to any rectangle, indoor mask) for each point.
+    def _distance(self, points: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Euclidean distance to rectangle i, inside mask) for each point.
 
-        Distance is Euclidean to the rectangle boundary, 0 for indoor points.
-        Raises EmptyFieldError when the field has no buildings.
+        The distance is 0 for points inside or on the rectangle.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if len(self) == 0:
-            raise EmptyFieldError("building field is empty")
-        best = np.full(len(pts), np.inf)
-        indoor = np.zeros(len(pts), dtype=bool)
-        for i in range(len(self)):
-            u, v = self.to_local(pts, i)
-            du = np.maximum(np.abs(u) - self.half_l[i], 0.0)
-            dv = np.maximum(np.abs(v) - self.half_w[i], 0.0)
-            dist = np.hypot(du, dv)
-            indoor |= (np.abs(u) <= self.half_l[i]) & (np.abs(v) <= self.half_w[i])
-            best = np.minimum(best, dist)
-        return best, indoor
+        u, v = self.to_local(points, i)
+        au, av = np.abs(u), np.abs(v)
+        du = np.maximum(au - self.half_l[i], 0.0)
+        dv = np.maximum(av - self.half_w[i], 0.0)
+        return np.hypot(du, dv), (au <= self.half_l[i]) & (av <= self.half_w[i])
 
     def nearest_building(self, point) -> int:
         """Index of the rectangle nearest to `point` (ties: smaller index)."""
@@ -155,10 +145,7 @@ class BuildingField:
         best = np.full(len(pts), np.inf)
         best_i = np.zeros(len(pts), dtype=int)
         for i in range(len(self)):
-            u, v = self.to_local(pts, i)
-            du = np.maximum(np.abs(u) - self.half_l[i], 0.0)
-            dv = np.maximum(np.abs(v) - self.half_w[i], 0.0)
-            dist = np.hypot(du, dv)
+            dist, _ = self._distance(pts, i)
             closer = dist < best
             best = np.where(closer, dist, best)
             best_i = np.where(closer, i, best_i)
@@ -188,9 +175,9 @@ class BuildingField:
     def near_indoor_masks(self, points: np.ndarray, d_c: float) -> tuple[np.ndarray, np.ndarray]:
         """(within-d_c mask, indoor mask), grid-accelerated but exact.
 
-        Matches boundary_distances semantics: near means boundary distance
-        <= d_c; indoor points are also reported in the first mask only if
-        their distance (0) passes, so callers should test indoor first.
+        Near means distance <= d_c to some rectangle's boundary. Indoor
+        points have distance 0, so they are near as well; callers test
+        indoor first.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         near = np.zeros(len(pts), dtype=bool)
@@ -214,12 +201,9 @@ class BuildingField:
                 continue
             sub = pts[grp]
             for i in cand:
-                u, v = self.to_local(sub, i)
-                du = np.maximum(np.abs(u) - self.half_l[i], 0.0)
-                dv = np.maximum(np.abs(v) - self.half_w[i], 0.0)
-                dist = np.hypot(du, dv)
+                dist, inside = self._distance(sub, i)
                 near[grp] |= dist <= d_c
-                indoor[grp] |= (np.abs(u) <= self.half_l[i]) & (np.abs(v) <= self.half_w[i])
+                indoor[grp] |= inside
         return near, indoor
 
 
@@ -231,80 +215,38 @@ def sample_ppp(window: Window, density_per_km2: float, rng: np.random.Generator)
     return rng.uniform(-h, h, size=(n, 2))
 
 
-def sample_buildings(window: Window, params, rng: np.random.Generator,
-                     axis_aligned: bool = False) -> BuildingField:
+def sample_buildings(window: Window, params, rng: np.random.Generator) -> BuildingField:
     """Boolean rectangle field: PPP centers, iid orientation uniform [0, pi).
 
-    Every rectangle has the deterministic footprint d_l x d_w. The
-    `axis_aligned` flag pins all orientations to 0 for debugging.
+    Every rectangle has the deterministic footprint d_l x d_w.
     """
     centers = sample_ppp(window, params.lambda_ell, rng)
     n = len(centers)
-    orients = np.zeros(n) if axis_aligned else rng.uniform(0.0, math.pi, size=n)
+    orients = rng.uniform(0.0, math.pi, size=n)
     return BuildingField([
         Building((centers[i, 0], centers[i, 1]), params.d_l, params.d_w, orients[i])
         for i in range(n)
     ])
 
 
-def classify_points(points: np.ndarray, field: BuildingField, d_c: float) -> np.ndarray:
-    """RegionClass for each point: indoor, near (<= d_c of a wall), or far."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(field) == 0:
-        return np.array([RegionClass.FAR] * len(pts), dtype=object)
-    dist, indoor = field.boundary_distances(pts)
-    out = np.where(indoor, RegionClass.INDOOR,
-                   np.where(dist <= d_c, RegionClass.NEAR, RegionClass.FAR))
-    return out.astype(object)
-
-
 def classify_point(point, field: BuildingField, d_c: float) -> RegionClass:
-    return classify_points(np.asarray(point, dtype=float)[None, :], field, d_c)[0]
-
-
-def _segment_blocked_by(field: BuildingField, i: int, p: np.ndarray, q: np.ndarray) -> bool:
-    """Open segment (p, q) vs solid rectangle i, via slab clipping."""
-    up, vp = field.to_local(p[None, :], i)
-    uq, vq = field.to_local(q[None, :], i)
-    p0 = np.array([up[0], vp[0]])
-    d = np.array([uq[0] - up[0], vq[0] - vp[0]])
-    half = np.array([field.half_l[i], field.half_w[i]])
-
-    t0, t1 = 0.0, 1.0
-    for ax in range(2):
-        if abs(d[ax]) < 1e-15:
-            if abs(p0[ax]) > half[ax]:
-                return False
-            continue
-        ta = (-half[ax] - p0[ax]) / d[ax]
-        tb = (half[ax] - p0[ax]) / d[ax]
-        lo, hi = (ta, tb) if ta <= tb else (tb, ta)
-        t0 = max(t0, lo)
-        t1 = min(t1, hi)
-        if t0 > t1:
-            return False
-    # Endpoint-only contact does not block the open segment.
-    return t1 > 0.0 and t0 < 1.0
-
-
-def los_between(p, q, field: BuildingField) -> bool:
-    """True iff the open segment (p, q) meets no rectangle (interior or
-    boundary). Zero-length segments are unobstructed by convention."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.array_equal(p, q):
-        return True
-    for i in range(len(field)):
-        if _segment_blocked_by(field, i, p, q):
-            return False
-    return True
+    """RegionClass of one point: indoor, near (<= d_c of a wall), or far."""
+    near, indoor = field.near_indoor_masks(
+        np.asarray(point, dtype=float).reshape(1, 2), d_c)
+    if indoor[0]:
+        return RegionClass.INDOOR
+    return RegionClass.NEAR if near[0] else RegionClass.FAR
 
 
 def los_pairs(ps: np.ndarray, qs: np.ndarray, field: BuildingField) -> np.ndarray:
-    """Vectorized los_between over paired endpoint arrays (n, 2) and (n, 2).
+    """Line of sight for each segment (ps[k], qs[k]) of paired (n, 2) arrays.
 
-    A per-building bounding-box rejection keeps the slab arithmetic off
-    segments that cannot possibly touch the rectangle.
+    A segment is LOS iff its open interior meets no rectangle (interior or
+    boundary); contact at an endpoint only does not block, and zero-length
+    segments are unobstructed. Each rectangle is tested by slab clipping in
+    its own frame, after a bounding-box rejection keeps the arithmetic off
+    segments that cannot possibly touch it. A single start point in `ps`
+    is shared by every segment.
     """
     ps = np.atleast_2d(np.asarray(ps, dtype=float))
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
@@ -350,7 +292,7 @@ def los_pairs(ps: np.ndarray, qs: np.ndarray, field: BuildingField) -> np.ndarra
 
 
 def los_to_many(p, qs: np.ndarray, field: BuildingField) -> np.ndarray:
-    """Vectorized los_between from one point to many endpoints."""
+    """los_pairs from one point to many endpoints."""
     p = np.asarray(p, dtype=float).reshape(1, 2)
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     return los_pairs(p, qs, field)
@@ -369,33 +311,37 @@ def _point_segment_distance(p, a, b) -> float:
     return math.hypot(px - (ax + s * dx), py - (ay + s * dy))
 
 
-def nearest_wall(point, field: BuildingField) -> Wall:
-    """Facing wall of the building nearest to `point`.
+def facing_wall(point, field: BuildingField, owner: int) -> Wall:
+    """Facing wall of building `owner` as seen from `point`.
 
-    Among the walls of the nearest rectangle whose outward half-plane
-    contains the point, picks the smallest point-to-segment distance;
-    ties go to the smaller wall index.
+    Among the walls whose outward half-plane contains the point, picks the
+    smallest point-to-segment distance; ties go to the smaller wall index.
+    `owner` is normally `field.nearest_building(point)`.
     """
-    if len(field) == 0:
-        raise EmptyFieldError("nearest_wall needs at least one building")
-    p = np.asarray(point, dtype=float)
-    bi = field.nearest_building(p)
+    px, py = float(point[0]), float(point[1])
+    walls = field.buildings[owner].walls(owner=owner)
     best: Wall | None = None
     best_d = math.inf
-    for wall in field.buildings[bi].walls(owner=bi):
+    for wall in walls:
         mx, my = wall.midpoint
         nx, ny = wall.outward_normal
-        if (p[0] - mx) * nx + (p[1] - my) * ny <= 0.0:
+        if (px - mx) * nx + (py - my) * ny <= 0.0:
             continue  # point is behind this wall
-        d = _point_segment_distance((p[0], p[1]), wall.v1, wall.v2)
+        d = _point_segment_distance((px, py), wall.v1, wall.v2)
         if d < best_d:
             best, best_d = wall, d
     if best is None:
         # Point is on a boundary line extension; fall back to raw distance.
-        walls = field.buildings[bi].walls(owner=bi)
-        dists = [_point_segment_distance((p[0], p[1]), w.v1, w.v2) for w in walls]
+        dists = [_point_segment_distance((px, py), w.v1, w.v2) for w in walls]
         best = walls[int(np.argmin(dists))]
     return best
+
+
+def angular_offset(a, b):
+    """Unsigned angle [rad] between directions a and b, in [0, pi];
+    elementwise over arrays."""
+    off = np.abs(a - b) % (2.0 * math.pi)
+    return np.where(off > math.pi, 2.0 * math.pi - off, off)
 
 
 def discovery_angle(bs, wall: Wall, beta: float) -> float:
@@ -418,21 +364,3 @@ def discovery_angle(bs, wall: Wall, beta: float) -> float:
     a2 = math.atan2(p2y - by, p2x - bx)
     d = abs(a1 - a2)
     return 2.0 * math.pi - d if d > math.pi else d
-
-
-def dump_scene_csv(path: str, field: BuildingField, labeled_points) -> None:
-    """Write a drop to CSV with a `buildings` section and a `points` section.
-
-    `labeled_points` is an iterable of (x, y, kind) tuples.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["# section", "buildings"])
-        w.writerow(["cx", "cy", "length", "width", "orientation"])
-        for b in field.buildings:
-            w.writerow([f"{b.center[0]:.6f}", f"{b.center[1]:.6f}",
-                        f"{b.length:.6f}", f"{b.width:.6f}", f"{b.orientation:.9f}"])
-        w.writerow(["# section", "points"])
-        w.writerow(["x", "y", "kind"])
-        for x, y, kind in labeled_points:
-            w.writerow([f"{x:.6f}", f"{y:.6f}", kind])

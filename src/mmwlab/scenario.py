@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass, fields, replace
 
 
+_PER_KM2_TO_M2 = 1e-6
+
+
 class ConfigError(ValueError):
     """Raised for unreadable or malformed scenario config input."""
 

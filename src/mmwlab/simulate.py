@@ -27,16 +27,13 @@ from enum import Enum
 import numpy as np
 
 from .analytic import (DomainError, effective_mainlobe_radius, los_distance,
-                       mainlobe_thinning_prob, noise_power_dbm,
-                       region1_dbs_fraction, ue_densities)
+                       noise_power_dbm, region1_dbs_fraction, ue_densities)
 from .association import (PATH_NONE, PATH_REFERENCE, Association, BsState,
-                          associate_all, associate_rsrp, classify_many,
-                          schedule)
+                          associate_all, classify_many, schedule)
 from .geometry import (Building, BuildingField, RegionClass, Window,
-                       classify_point, los_to_many, sample_buildings,
-                       sample_ppp)
-
-_PER_KM2_TO_M2 = 1e-6
+                       angular_offset, classify_point, los_to_many,
+                       sample_buildings, sample_ppp)
+from .scenario import _PER_KM2_TO_M2
 
 RULE_BUILDING_AWARE = "building_aware"
 RULE_MAX_RSRP = "max_rsrp"
@@ -49,7 +46,7 @@ class SimMode(Enum):
 
 @dataclass
 class Drop:
-    """Full state of one realized drop, for inspection and scene dumps."""
+    """Full state of one realized drop, for inspection."""
 
     field: BuildingField
     bs_xy: np.ndarray
@@ -99,16 +96,20 @@ SIM_TRACE_COLUMNS = [
 ]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool) or isinstance(x, np.bool_):
-        return str(int(x))
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+def format_cell(value) -> str:
+    """One CSV cell: blank for None, 0/1 for booleans, 12 significant
+    digits for floats."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
 
 
 def sample_row(rec: DropSample) -> list[str]:
-    return [_fmt(getattr(rec, c)) for c in SIM_TRACE_COLUMNS]
+    return [format_cell(getattr(rec, c)) for c in SIM_TRACE_COLUMNS]
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,7 @@ class EstimateSummary:
 
 
 _WALL_MIDS = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
+_MAX_FIELD_TRIES = 10000
 
 
 def _host_field(params, window: Window, rng: np.random.Generator) -> BuildingField:
@@ -175,8 +177,7 @@ def _host_field(params, window: Window, rng: np.random.Generator) -> BuildingFie
 
 
 def _conditioned_field(params, window: Window, near_typical: bool,
-                       rng: np.random.Generator,
-                       max_tries: int = 10000) -> BuildingField:
+                       rng: np.random.Generator) -> BuildingField:
     """Building field conditioned on the origin's region class.
 
     Near: plant a host building with the origin just outside a uniformly
@@ -184,7 +185,7 @@ def _conditioned_field(params, window: Window, near_typical: bool,
     swallows the origin. Far: plain rejection on the class.
     """
     want = RegionClass.NEAR if near_typical else RegionClass.FAR
-    for _ in range(max_tries):
+    for _ in range(_MAX_FIELD_TRIES):
         if near_typical:
             field = _host_field(params, window, rng)
         else:
@@ -193,12 +194,7 @@ def _conditioned_field(params, window: Window, near_typical: bool,
             return field
     raise RuntimeError(
         f"could not realize a field with the origin of class {want.value} "
-        f"after {max_tries} attempts")
-
-
-def _wrap_offset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    off = np.abs(a - b) % (2.0 * math.pi)
-    return np.where(off > math.pi, 2.0 * math.pi - off, off)
+        f"after {_MAX_FIELD_TRIES} attempts")
 
 
 def _powers_mw(params, gains, fading, dist_m):
@@ -236,8 +232,8 @@ def _finish_sample(params, seed: int, mode: str, typical_class: str,
 
 
 def _realize_full(params, seed: int, rng: np.random.Generator,
-                  association_rule: str, always_transmit: bool,
-                  keep_drop: bool, window: Window | None) -> DropSample:
+                  association_rule: str, keep_drop: bool,
+                  window: Window | None) -> DropSample:
     # Draw order (fixed): class coin, conditioned field, BS process,
     # near UE process, far UE process, fading, per-BS scheduling.
     if window is None:
@@ -260,28 +256,21 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
         field = BuildingField([])
 
     bs_all = sample_ppp(window, params.lambda_b, rng)
-    if len(field):
-        _, bs_indoor = field.near_indoor_masks(bs_all, params.d_c)
-        bs_xy = bs_all[~bs_indoor]  # indoor BSs are dead in this model
-    else:
-        bs_xy = bs_all
+    _, bs_indoor = field.near_indoor_masks(bs_all, params.d_c)
+    bs_xy = bs_all[~bs_indoor]  # indoor BSs are dead in this model
     n_bs = len(bs_xy)
 
     cand_n = sample_ppp(window, lam_n, rng)
     cand_r = sample_ppp(window, lam_r, rng)
-    near_n, ind_n = field.near_indoor_masks(cand_n, params.d_c) \
-        if len(field) else (np.zeros(len(cand_n), bool),) * 2
-    near_r, ind_r = field.near_indoor_masks(cand_r, params.d_c) \
-        if len(field) else (np.zeros(len(cand_r), bool),) * 2
+    near_n, ind_n = field.near_indoor_masks(cand_n, params.d_c)
+    near_r, ind_r = field.near_indoor_masks(cand_r, params.d_c)
     ue_xy = np.vstack([np.zeros((1, 2)),
                        cand_n[near_n & ~ind_n],
                        cand_r[~near_r & ~ind_r]])
 
     bs_states = classify_many(bs_xy, field, params.theta, params.beta)
-    if association_rule == RULE_BUILDING_AWARE:
-        assoc = associate_all(ue_xy, bs_states, field, params)
-    else:
-        assoc = associate_rsrp(ue_xy, bs_states, field, params)
+    assoc = associate_all(ue_xy, bs_states, field,
+                          use_cones=association_rule == RULE_BUILDING_AWARE)
 
     fading = rng.exponential(size=n_bs)
 
@@ -293,9 +282,6 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
             active[j] = True
             beam_dir[j] = math.atan2(ue_xy[target, 1] - bs_xy[j, 1],
                                      ue_xy[target, 0] - bs_xy[j, 0])
-        elif always_transmit:
-            active[j] = True
-            beam_dir[j] = rng.uniform(0.0, 2.0 * math.pi)
 
     s = int(assoc.serving[0])
     if s >= 0:
@@ -323,7 +309,7 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
     idx = np.flatnonzero(interferer)
     if len(idx):
         to_origin = np.arctan2(-bs_xy[idx, 1], -bs_xy[idx, 0])
-        off = _wrap_offset(beam_dir[idx], to_origin)
+        off = angular_offset(beam_dir[idx], to_origin)
         main = off <= params.theta / 2.0
         gains = np.where(main, params.g_m, params.g_s)
         dists = np.hypot(bs_xy[idx, 0], bs_xy[idx, 1])
@@ -427,7 +413,7 @@ def _realize_los_ball(params, seed: int, rng: np.random.Generator,
 
 def realize(params, mode: SimMode = SimMode.FULL_GEOMETRY, seed: int = 0,
             association_rule: str = RULE_BUILDING_AWARE,
-            always_transmit: bool = False, keep_drop: bool = False,
+            keep_drop: bool = False,
             window: Window | None = None) -> DropSample:
     """One drop. Deterministic given (params, mode, seed, rule).
 
@@ -439,21 +425,20 @@ def realize(params, mode: SimMode = SimMode.FULL_GEOMETRY, seed: int = 0,
     rng = np.random.default_rng(seed)
     if mode is SimMode.LOS_BALL:
         return _realize_los_ball(params, seed, rng, keep_drop)
-    return _realize_full(params, seed, rng, association_rule,
-                         always_transmit, keep_drop, window)
+    return _realize_full(params, seed, rng, association_rule, keep_drop,
+                         window)
 
 
 def _run_one(seed: int, params, mode: SimMode, association_rule: str,
-             always_transmit: bool, window: Window | None) -> DropSample:
+             window: Window | None) -> DropSample:
     return realize(params, mode, seed, association_rule=association_rule,
-                   always_transmit=always_transmit, window=window)
+                   window=window)
 
 
 def estimate(params, mode: SimMode = SimMode.FULL_GEOMETRY,
              n_drops: int = 100, seed_base: int = 0,
              workers: int | None = None, trace_path: str | None = None,
              association_rule: str = RULE_BUILDING_AWARE,
-             always_transmit: bool = False,
              window: Window | None = None) -> EstimateSummary:
     """Average DropSamples over seeds seed_base .. seed_base + n_drops - 1.
 
@@ -465,8 +450,7 @@ def estimate(params, mode: SimMode = SimMode.FULL_GEOMETRY,
         raise ValueError(f"n_drops must be >= 2, got {n_drops}")
     seeds = range(seed_base, seed_base + n_drops)
     run = functools.partial(_run_one, params=params, mode=mode,
-                            association_rule=association_rule,
-                            always_transmit=always_transmit, window=window)
+                            association_rule=association_rule, window=window)
     if workers is None or workers <= 1:
         records = [run(s) for s in seeds]
     else:

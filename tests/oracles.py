@@ -1,0 +1,77 @@
+"""Scalar reference versions of the package's vectorized geometry kernels.
+
+Each function does the job one element at a time, the plain way, so the
+tests can check the batched kernels in `mmwlab` against it. Nothing in
+the package imports this module.
+"""
+
+import math
+
+import numpy as np
+
+
+def boundary_distances(field, points):
+    """(min distance to any rectangle, indoor mask) for each point.
+
+    Distance is Euclidean to the rectangle boundary, 0 for indoor points;
+    every rectangle of the field is visited.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    best = np.full(len(pts), np.inf)
+    indoor = np.zeros(len(pts), dtype=bool)
+    for i in range(len(field)):
+        u, v = field.to_local(pts, i)
+        du = np.maximum(np.abs(u) - field.half_l[i], 0.0)
+        dv = np.maximum(np.abs(v) - field.half_w[i], 0.0)
+        best = np.minimum(best, np.hypot(du, dv))
+        indoor |= (np.abs(u) <= field.half_l[i]) & (np.abs(v) <= field.half_w[i])
+    return best, indoor
+
+
+def _segment_blocked_by(field, i, p, q):
+    """Open segment (p, q) vs solid rectangle i, via slab clipping."""
+    up, vp = field.to_local(p[None, :], i)
+    uq, vq = field.to_local(q[None, :], i)
+    p0 = (up[0], vp[0])
+    d = (uq[0] - up[0], vq[0] - vp[0])
+    half = (field.half_l[i], field.half_w[i])
+
+    t0, t1 = 0.0, 1.0
+    for ax in range(2):
+        if abs(d[ax]) < 1e-15:
+            if abs(p0[ax]) > half[ax]:
+                return False
+            continue
+        ta = (-half[ax] - p0[ax]) / d[ax]
+        tb = (half[ax] - p0[ax]) / d[ax]
+        t0 = max(t0, min(ta, tb))
+        t1 = min(t1, max(ta, tb))
+        if t0 > t1:
+            return False
+    # Endpoint-only contact does not block the open segment.
+    return t1 > 0.0 and t0 < 1.0
+
+
+def los_between(p, q, field):
+    """True iff the open segment (p, q) meets no rectangle (interior or
+    boundary). Zero-length segments are unobstructed by convention."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if np.array_equal(p, q):
+        return True
+    return not any(_segment_blocked_by(field, i, p, q)
+                   for i in range(len(field)))
+
+
+def in_discovery_cone(bs, ue):
+    """Whether the UE direction falls inside the BS's discovery cone.
+
+    The cone edge is inclusive; omni BSs accept everything.
+    """
+    if bs.discovery_range >= 2.0 * math.pi:
+        return True
+    ang = math.atan2(ue[1] - bs.position[1], ue[0] - bs.position[0])
+    off = abs(ang - bs.boresight) % (2.0 * math.pi)
+    if off > math.pi:
+        off = 2.0 * math.pi - off
+    return off <= bs.discovery_range / 2.0

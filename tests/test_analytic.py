@@ -200,10 +200,10 @@ def test_far_coverage_monotone_in_beta():
 
 def test_noise_reduces_coverage():
     p = P0.with_(include_noise=True)
-    assert A.coverage_with_noise(p, 0.4) < A.coverage(p, 0.4)
+    assert A.coverage(p, 0.4, with_noise=True) < A.coverage(p, 0.4)
     # 500 MHz thermal noise is tiny next to mmW cell-edge signal power,
     # so the two should still be close.
-    assert A.coverage(p, 0.4) - A.coverage_with_noise(p, 0.4) < 0.05
+    assert A.coverage(p, 0.4) - A.coverage(p, 0.4, with_noise=True) < 0.05
 
 
 def test_snr_factor_decays_with_distance():

@@ -17,16 +17,15 @@ from mmwlab.association import (
     PATH_REFERENCE,
     Association,
     BsRole,
+    _cone_mask,
     associate_all,
-    associate_rsrp,
     classify_bs,
     classify_many,
-    in_discovery_cone,
-    rsrp,
     schedule,
 )
-from mmwlab.geometry import Building, BuildingField, los_between
+from mmwlab.geometry import Building, BuildingField
 from mmwlab.scenario import ScenarioParams
+from oracles import in_discovery_cone, los_between
 
 
 def random_scene(seed, n_buildings=14, n_bs=40, n_ue=70, span=200.0,
@@ -73,7 +72,7 @@ def reference_associate(ue_xy, bs_states, field, use_cones=True):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_fast_engine_matches_reference(seed):
     field, states, _, ue_xy, params = random_scene(seed)
-    got = associate_all(ue_xy, states, field, params)
+    got = associate_all(ue_xy, states, field)
     ref_serving, ref_path = reference_associate(ue_xy, states, field)
     assert np.array_equal(got.serving, ref_serving)
     # reference marks every cone hit as the reference path; the engine
@@ -84,7 +83,7 @@ def test_fast_engine_matches_reference(seed):
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_fast_engine_matches_reference_without_cones(seed):
     field, states, _, ue_xy, params = random_scene(seed, beta=0.8)
-    got = associate_rsrp(ue_xy, states, field, params)
+    got = associate_all(ue_xy, states, field, use_cones=False)
     ref_serving, _ = reference_associate(ue_xy, states, field, use_cones=False)
     assert np.array_equal(got.serving, ref_serving)
     # with cones off every BS is discoverable, so all wins count as phase 1
@@ -94,16 +93,16 @@ def test_fast_engine_matches_reference_without_cones(seed):
 def test_small_candidate_screen_still_exact():
     # force the k-nearest screen to miss so the exhaustive pass must run
     field, states, _, ue_xy, params = random_scene(7, n_bs=60, n_ue=50)
-    a_small = associate_all(ue_xy, states, field, params, k_candidates=2)
-    a_big = associate_all(ue_xy, states, field, params, k_candidates=60)
+    a_small = associate_all(ue_xy, states, field, k_candidates=2)
+    a_big = associate_all(ue_xy, states, field, k_candidates=60)
     assert np.array_equal(a_small.serving, a_big.serving)
     assert np.array_equal(a_small.path, a_big.path)
 
 
 def test_zero_bias_equals_plain_rsrp():
     field, states0, bs_xy, ue_xy, params = random_scene(21, beta=0.0)
-    aware = associate_all(ue_xy, states0, field, params)
-    plain = associate_rsrp(ue_xy, states0, field, params)
+    aware = associate_all(ue_xy, states0, field)
+    plain = associate_all(ue_xy, states0, field, use_cones=False)
     assert np.array_equal(aware.serving, plain.serving)
 
 
@@ -139,6 +138,7 @@ def test_no_buildings_everyone_omni():
     st = classify_bs((5.0, 5.0), field, math.pi / 6, 1.0)
     assert st.role is BsRole.OBS and st.discovery_range == 2.0 * math.pi
     assert in_discovery_cone(st, (100.0, -40.0))
+    assert _cone_mask([st], np.array([[100.0, -40.0]])).all()
 
 
 def test_discovery_cone_wraps_across_pi():
@@ -150,22 +150,8 @@ def test_discovery_cone_wraps_across_pi():
     ue_above = (-80.0, 4.0)
     ue_below = (-80.0, -4.0)
     assert in_discovery_cone(bs, ue_above) == in_discovery_cone(bs, ue_below)
-
-
-def test_rsrp_rules():
-    field = BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
-    params = ScenarioParams()
-    bs = classify_bs((0.0, -25.0), field, math.pi / 6, 1.0)
-    ue_front = (0.0, -10.0)
-    assert rsrp(ue_front, bs, field, params) == pytest.approx(100.0 * 15.0 ** -2)
-    assert rsrp(ue_front, bs, field, params, h=0.5) == pytest.approx(
-        0.5 * 100.0 * 15.0 ** -2)
-    # behind the building: blocked
-    assert rsrp((0.0, 20.0), bs, field, params, ignore_cone=True) == 0.0
-    # outside the cone but LOS: zero unless the cone is ignored
-    ue_side = (60.0, -25.0)
-    assert rsrp(ue_side, bs, field, params) == 0.0
-    assert rsrp(ue_side, bs, field, params, ignore_cone=True) > 0.0
+    mask = _cone_mask([bs], np.array([ue_above, ue_below]))
+    assert list(mask[:, 0]) == [in_discovery_cone(bs, ue_above)] * 2
 
 
 def test_association_helpers_and_schedule():
@@ -193,6 +179,6 @@ def test_uncovered_when_everything_blocked():
     params = ScenarioParams()
     states = classify_many(np.array([[120.0, 0.0], [0.0, 150.0]]), field,
                            params.theta, 1.0)
-    assoc = associate_all(np.array([[0.0, 0.0]]), states, field, params)
+    assoc = associate_all(np.array([[0.0, 0.0]]), states, field)
     assert assoc.serving[0] == PATH_NONE
     assert assoc.path[0] == PATH_NONE

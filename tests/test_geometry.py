@@ -1,7 +1,8 @@
 """Geometry kernel: windows, rectangle fields, LOS tests, wall picking.
 
 Where a closed form exists the tests pin it; everything stochastic is
-checked against brute-force oracles on seeded draws.
+checked against brute-force oracles on seeded draws. The scalar oracles
+for rectangle distance and LOS live in `oracles.py`.
 """
 
 import math
@@ -14,19 +15,17 @@ from mmwlab.geometry import (
     BuildingField,
     EmptyFieldError,
     RegionClass,
-    Wall,
     Window,
     classify_point,
-    classify_points,
     discovery_angle,
-    los_between,
+    facing_wall,
     los_pairs,
     los_to_many,
-    nearest_wall,
     sample_buildings,
     sample_ppp,
 )
 from mmwlab.scenario import ScenarioParams
+from oracles import boundary_distances, los_between
 
 
 def make_field(rng, n=12, span=220.0, d_l=30.0, d_w=10.0):
@@ -105,7 +104,7 @@ def test_boolean_field_indoor_fraction():
     for _ in range(10):
         field = sample_buildings(w, params, rng)
         pts = rng.uniform(-w.half_width, w.half_width, size=(4000, 2))
-        _, indoor = field.boundary_distances(pts)
+        _, indoor = field.near_indoor_masks(pts, params.d_c)
         fractions.append(indoor.mean())
     assert abs(np.mean(fractions) - expected) < 0.015
 
@@ -119,28 +118,29 @@ def test_classify_points_banding():
         [0.0, 7.01],    # just past the band -> far
         [200.0, 0.0],   # far
     ])
-    cls = classify_points(pts, field, d_c=2.0)
-    assert list(cls) == [RegionClass.INDOOR, RegionClass.NEAR, RegionClass.NEAR,
-                         RegionClass.FAR, RegionClass.FAR]
+    cls = [classify_point(p, field, d_c=2.0) for p in pts]
+    assert cls == [RegionClass.INDOOR, RegionClass.NEAR, RegionClass.NEAR,
+                   RegionClass.FAR, RegionClass.FAR]
     assert classify_point((16.0, 0.0), field, 2.0) is RegionClass.NEAR
 
 
 def test_empty_field_classifies_far_and_raises_on_distances():
     field = BuildingField([])
-    assert list(classify_points(np.zeros((2, 2)), field, 2.0)) == \
-        [RegionClass.FAR, RegionClass.FAR]
+    assert classify_point((0.0, 0.0), field, 2.0) is RegionClass.FAR
+    near, indoor = field.near_indoor_masks(np.zeros((2, 2)), 2.0)
+    assert not near.any() and not indoor.any()
     with pytest.raises(EmptyFieldError):
-        field.boundary_distances(np.zeros((1, 2)))
+        field.nearest_building_many(np.zeros((1, 2)))
     with pytest.raises(EmptyFieldError):
-        nearest_wall((0.0, 0.0), field)
+        field.nearest_building((0.0, 0.0))
 
 
 def test_boundary_distaccording_to_manual_rectangle():
     field = BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
     pts = np.array([[20.0, 0.0], [0.0, 9.0], [18.0, 9.0], [1.0, 2.0]])
-    dist, indoor = field.boundary_distances(pts)
-    assert dist == pytest.approx([5.0, 4.0, math.hypot(3.0, 4.0), 0.0])
-    assert list(indoor) == [False, False, False, True]
+    for dist, indoor in (boundary_distances(field, pts), field._distance(pts, 0)):
+        assert dist == pytest.approx([5.0, 4.0, math.hypot(3.0, 4.0), 0.0])
+        assert list(indoor) == [False, False, False, True]
 
 
 def test_near_indoor_masks_match_boundary_distances():
@@ -148,11 +148,15 @@ def test_near_indoor_masks_match_boundary_distances():
     field = make_field(rng, n=25)
     pts = rng.uniform(-260, 260, size=(800, 2))
     near, indoor = field.near_indoor_masks(pts, d_c=2.0)
-    dist, indoor_ref = field.boundary_distances(pts)
+    dist, indoor_ref = boundary_distances(field, pts)
     assert np.array_equal(indoor, indoor_ref)
     # `near` passes any point whose boundary distance is within d_c,
     # indoor ones included (their distance is zero); callers mask indoor.
     assert np.array_equal(near, dist <= 2.0)
+    want = np.where(indoor_ref, RegionClass.INDOOR,
+                    np.where(dist <= 2.0, RegionClass.NEAR, RegionClass.FAR))
+    assert [classify_point(p, field, 2.0) for p in pts] == list(want)
+
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +175,21 @@ def _brute_blocked(p, q, field, n_steps=4000):
     return False
 
 
+def los_both(p, q, field):
+    """LOS of one segment from the package kernel, checked against the
+    scalar oracle."""
+    got = bool(los_to_many(p, np.asarray(q, dtype=float)[None, :], field)[0])
+    assert got == los_between(p, q, field)
+    return got
+
+
 def test_los_between_matches_dense_sampling():
     rng = np.random.default_rng(3)
     field = make_field(rng, n=20)
     for _ in range(60):
         p = rng.uniform(-240, 240, size=2)
         q = rng.uniform(-240, 240, size=2)
-        assert los_between(p, q, field) == (not _brute_blocked(p, q, field))
+        assert los_both(p, q, field) == (not _brute_blocked(p, q, field))
 
 
 def test_los_pairs_matches_scalar():
@@ -197,16 +209,16 @@ def test_los_same_point_is_clear():
     rng = np.random.default_rng(5)
     field = make_field(rng, n=10)
     p = np.array([40.0, -12.0])
-    assert los_between(p, p, field)
+    assert los_both(p, p, field)
 
 
 def test_los_endpoint_inside_building_still_geometric():
     # A segment whose interior crosses a rectangle is blocked even if it
     # starts right at the wall.
     field = BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
-    assert not los_between((-20.0, 0.0), (20.0, 0.0), field)
-    assert los_between((-20.0, 0.0), (-15.0, 0.0), field)
-    assert los_between((0.0, 8.0), (10.0, 8.0), field)
+    assert not los_both((-20.0, 0.0), (20.0, 0.0), field)
+    assert los_both((-20.0, 0.0), (-15.0, 0.0), field)
+    assert los_both((0.0, 8.0), (10.0, 8.0), field)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +235,10 @@ def test_nearest_wall_brute_force():
     field = make_field(rng, n=15)
     for _ in range(200):
         p = rng.uniform(-240, 240, size=2)
-        _, indoor = field.boundary_distances(p[None, :])
+        _, indoor = boundary_distances(field, p)
         if indoor[0]:
             continue
-        w = nearest_wall(p, field)
+        w = facing_wall(p, field, field.nearest_building(p))
         d_pick = seg_dist(p, w.v1, w.v2)
         d_best = min(seg_dist(p, ww.v1, ww.v2)
                      for b_i, b in enumerate(field.buildings)

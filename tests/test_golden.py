@@ -12,7 +12,7 @@ and say in the change which bytes moved and why.
 """
 
 import io
-import sys
+import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -41,16 +41,16 @@ CASES = {
 
 
 def run_case(argv, out_dir: Path) -> dict[str, bytes]:
-    """Run one command; returns {file name: bytes} of everything it wrote."""
-    name_out = out_dir / "out.csv"
-    name_trace = out_dir / "trace.csv"
-    args = [str(name_trace) if a == "{trace}" else a for a in argv]
+    """Run one command; returns {golden file suffix: bytes} of what it wrote."""
+    out = out_dir / "out.csv"
+    trace = out_dir / "trace.csv"
+    args = [str(trace) if a == "{trace}" else a for a in argv]
     with redirect_stderr(io.StringIO()):
-        code = main(args + ["--out", str(name_out)])
+        code = main(args + ["--out", str(out)])
     assert code == EXIT_OK
-    files = {".csv": name_out.read_bytes()}
-    if name_trace.exists():
-        files[".trace.csv"] = name_trace.read_bytes()
+    files = {".csv": out.read_bytes()}
+    if trace.exists():
+        files[".trace.csv"] = trace.read_bytes()
     return files
 
 
@@ -66,7 +66,6 @@ def test_cli_output_matches_golden_bytes(name, tmp_path):
 
 
 def _record() -> None:
-    import tempfile
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -76,4 +75,3 @@ def _record() -> None:
 
 if __name__ == "__main__":
     _record()
-    sys.exit(0)
