@@ -1,4 +1,4 @@
-"""Analytic downlink model: LOS statistics, SIR coverage, cell load, rate.
+"""Analytic downlink model: LOS statistics, coverage, cell load, rate.
 
 The network is a homogeneous PPP of BSs over a Boolean field of rectangular
 blockages. A bias beta in [0, 1] contracts each building wall; BSs that see
@@ -7,6 +7,11 @@ wall ("dedicated" BSs), which thins main-lobe interference for everyone
 else. All closed forms below assume the mean-LOS-disk approximation of the
 blockage process.
 
+Coverage is one adaptive quadrature over the serving distance; the
+interference band integral inside it is closed form (an exact log at
+alpha = 2, a Gauss hypergeometric function otherwise). `include_noise`
+alone decides SIR or SINR, for coverage, rate and both bias optimizers.
+
 Inputs use the ScenarioParams units (densities per km^2, meters, radians,
 linear gains); conversion to per-m^2 happens inside.
 """
@@ -14,11 +19,11 @@ linear gains); conversion to per-m^2 happens inside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erf
+from scipy.special import erf, hyp2f1
 
 from .scenario import _PER_KM2_TO_M2
 
@@ -84,6 +89,28 @@ def effective_mainlobe_radius(r_l: float, theta: float, beta: float, d_l: float)
     return max(r_l - beta * d_l / (2.0 * math.tan(theta / 2.0)), 0.0)
 
 
+def _radii(params, beta: float) -> tuple[float, float, float]:
+    """(r_l, r_beta) [m] at bias beta, and lambda_b [1/m^2]."""
+    r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
+    r_b = effective_mainlobe_radius(r_l, params.theta, beta, params.d_l)
+    return r_l, r_b, params.lambda_b * _PER_KM2_TO_M2
+
+
+def ring_radii(r_l: float, r_b: float) -> tuple[float, float]:
+    """(r_1, r_eff) [m] around a wall-attached UE.
+
+    BSs within r_1 may be dedicated to the UE's own wall; between r_1 and
+    r_eff interferers are beam-thinned; beyond r_eff only side lobes reach
+    the UE.
+    """
+    return min(r_l - r_b, r_l / 2.0), max(r_b, r_l / 2.0)
+
+
+def indoor_fraction(lambda_ell: float, d_l: float, d_w: float) -> float:
+    """Area fraction covered by buildings (lambda_ell per km^2)."""
+    return lambda_ell * _PER_KM2_TO_M2 * d_l * d_w
+
+
 def ue_densities(lambda_u: float, gamma_c: float, lambda_ell: float,
                  d_l: float, d_w: float, d_c: float) -> tuple[float, float]:
     """(near-band, elsewhere) UE densities [1/km^2] for concentration gamma_c.
@@ -91,9 +118,8 @@ def ue_densities(lambda_u: float, gamma_c: float, lambda_ell: float,
     B is the area fraction of the near-building band, I the indoor
     fraction; both must leave room for open space (B + I < 1).
     """
-    lam_ell = lambda_ell * _PER_KM2_TO_M2
-    b_frac = 2.0 * lam_ell * (d_l + d_w) * d_c
-    i_frac = lam_ell * d_l * d_w
+    b_frac = 2.0 * (lambda_ell * _PER_KM2_TO_M2) * (d_l + d_w) * d_c
+    i_frac = indoor_fraction(lambda_ell, d_l, d_w)
     if b_frac <= 0:
         raise DomainError("near-band fraction must be positive")
     if b_frac + i_frac >= 1.0:
@@ -102,6 +128,12 @@ def ue_densities(lambda_u: float, gamma_c: float, lambda_ell: float,
     lam_n = lambda_u * gamma_c * (1.0 - i_frac) / b_frac
     lam_r = lambda_u * (1.0 - gamma_c) * (1.0 - i_frac) / (1.0 - b_frac - i_frac)
     return lam_n, lam_r
+
+
+def _densities(params) -> tuple[float, float]:
+    """ue_densities of a scenario, per km^2."""
+    return ue_densities(params.lambda_u, params.gamma_c, params.lambda_ell,
+                        params.d_l, params.d_w, params.d_c)
 
 
 def mainlobe_thinning_prob(theta: float, gain_ratio: float, alpha: float) -> float:
@@ -157,29 +189,22 @@ def rayleigh_kernel(a: float, b: float, x: float, lambda_b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# SIR coverage
+# Coverage
 
 
 def _band_integral(lo: float, hi: float, half_alpha: float) -> float:
-    """int_lo^hi du / (1 + u^(alpha/2)), exact log form at alpha = 2."""
+    """int_lo^hi du / (1 + u^a) for a = alpha/2, in closed form.
+
+    Exact log at a = 1; otherwise the antiderivative
+    x * 2F1(1, 1/a; 1 + 1/a; -x^a) taken between the band ends.
+    """
     if hi <= lo:
         return 0.0
     if half_alpha == 1.0:
         return math.log1p(hi) - math.log1p(lo)
-    total = 0.0
-    cut = 1e8
-    if lo < cut:
-        part = integrate.quad(lambda u: 1.0 / (1.0 + u ** half_alpha),
-                              lo, min(hi, cut), epsabs=1e-14, epsrel=1e-11,
-                              limit=200)[0]
-        total += part
-    if hi > cut:
-        # Two-term power-law tail of the integrand beyond the cut.
-        def tail(x):
-            return x ** (1.0 - half_alpha) / (half_alpha - 1.0) \
-                - x ** (1.0 - 2.0 * half_alpha) / (2.0 * half_alpha - 1.0)
-        total += tail(max(lo, cut)) - tail(hi)
-    return total
+    inv = 1.0 / half_alpha
+    return hi * hyp2f1(1.0, inv, 1.0 + inv, -hi ** half_alpha) \
+        - lo * hyp2f1(1.0, inv, 1.0 + inv, -lo ** half_alpha)
 
 
 def noise_power_dbm(params) -> float:
@@ -188,35 +213,33 @@ def noise_power_dbm(params) -> float:
 
 
 def snr_factor(params, r: float) -> float:
-    """Rayleigh SNR survival exp(-t*sigma^2*r^alpha/(P*g_m)) at distance r."""
+    """Rayleigh SNR survival exp(-t*sigma^2*r^alpha/(P*g_m)) at distance r;
+    1 when the scenario leaves noise out."""
+    if not params.include_noise:
+        return 1.0
     sigma2_mw = 10.0 ** (noise_power_dbm(params) / 10.0)
     p_mw = 10.0 ** (params.tx_power_dbm / 10.0)
     return math.exp(-params.t * sigma2_mw * r ** params.alpha / (p_mw * params.g_m))
 
 
-def _coverage_pieces(params, beta: float):
-    """Shared geometry for the coverage integrals."""
-    r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
-    r_b = effective_mainlobe_radius(r_l, params.theta, beta, params.d_l)
-    lam_b = params.lambda_b * _PER_KM2_TO_M2
-    half_alpha = params.alpha / 2.0
+def _coverage_pieces(params):
+    """Bias-free terms of the coverage integrands: (alpha/2, t^(2/alpha),
+    p_a, side-lobe band weight)."""
     t2a = params.t ** (2.0 / params.alpha)
     p_a = mainlobe_thinning_prob(params.theta, params.g_s / params.g_m, params.alpha)
     gs_mult = (params.g_s * params.t / params.g_m) ** (2.0 / params.alpha)
-    return r_l, r_b, lam_b, half_alpha, t2a, p_a, gs_mult
+    return params.alpha / 2.0, t2a, p_a, gs_mult
 
 
-def coverage_far(params, beta: float, with_noise: bool = False) -> float:
-    """SIR coverage P(SIR > t) of a typical open-space UE, clamped to [0, 1].
+def coverage_far(params, beta: float) -> float:
+    """Coverage P(SINR > t) of a typical open-space UE, clamped to [0, 1].
 
     Serving BS is the nearest in the mean-LOS disk; interferers closer
     than the dedicated-BS radius are beam-thinned, farther ones are
     side-lobe only.
     """
-    r_l, r_b, lam_b, ha, t2a, p_a, gs_mult = _coverage_pieces(params, beta)
-
-    def noise_mult(r):
-        return snr_factor(params, r) if with_noise else 1.0
+    r_l, r_b, lam_b = _radii(params, beta)
+    ha, t2a, p_a, gs_mult = _coverage_pieces(params)
 
     def inner(r):
         if r <= 0.0:
@@ -230,27 +253,25 @@ def coverage_far(params, beta: float, with_noise: bool = False) -> float:
         else:
             bands = gs_mult * _band_integral(u0, u_edge, ha)
         return 2.0 * math.pi * lam_b * r \
-            * math.exp(-math.pi * lam_b * r * r * (1.0 + bands)) * noise_mult(r)
+            * math.exp(-math.pi * lam_b * r * r * (1.0 + bands)) \
+            * snr_factor(params, r)
 
     val = _quad(inner, 0.0, r_b) + _quad(inner, r_b, r_l)
     return min(max(val, 0.0), 1.0)
 
 
-def coverage_near(params, beta: float, with_noise: bool = False) -> float:
-    """SIR coverage of a typical wall-attached UE, clamped to [0, 1].
+def coverage_near(params, beta: float) -> float:
+    """Coverage of a typical wall-attached UE, clamped to [0, 1].
 
     The UE sees a half-disk of radius r_l. Interferers within r_1 of the
     UE include dedicated BSs locked onto the UE's own wall (main-lobe with
     probability p_ell); the middle ring is beam-thinned; the far ring is
     side-lobe only.
     """
-    r_l, r_b, lam_b, ha, t2a, p_a, gs_mult = _coverage_pieces(params, beta)
-    r_eff = max(r_b, r_l / 2.0)
-    r_1 = min(r_l - r_b, r_l / 2.0)
+    r_l, r_b, lam_b = _radii(params, beta)
+    ha, t2a, p_a, gs_mult = _coverage_pieces(params)
+    r_1, r_eff = ring_radii(r_l, r_b)
     p_ell = region1_interferer_prob(params.theta, p_a)
-
-    def noise_mult(r):
-        return snr_factor(params, r) if with_noise else 1.0
 
     def inner(r):
         if r <= 0.0:
@@ -268,18 +289,32 @@ def coverage_near(params, beta: float, with_noise: bool = False) -> float:
             bands = p_a * t2a * _band_integral(u0, u1, ha) \
                 + gs_mult * _band_integral(u1, u_edge, ha)
         return math.pi * lam_b * r \
-            * math.exp(-(math.pi / 2.0) * lam_b * rr * (1.0 + bands)) * noise_mult(r)
+            * math.exp(-(math.pi / 2.0) * lam_b * rr * (1.0 + bands)) \
+            * snr_factor(params, r)
 
     val = _quad(inner, 0.0, r_1) + _quad(inner, r_1, r_l)
     return min(max(val, 0.0), 1.0)
 
 
-def coverage(params, beta: float, with_noise: bool = False) -> float:
-    """Population SIR coverage: gamma_c-weighted mix of both UE classes."""
+def _mixed_coverage(params, s_n, s_r) -> float:
+    """Population coverage from each class's coverage, gamma_c-weighted
+    and clamped to [0, 1]. A class with zero weight is skipped, so its s
+    may be None."""
     gc = params.gamma_c
-    s_n = coverage_near(params, beta, with_noise) if gc > 0.0 else 0.0
-    s_r = coverage_far(params, beta, with_noise) if gc < 1.0 else 0.0
-    return min(max(gc * s_n + (1.0 - gc) * s_r, 0.0), 1.0)
+    total = 0.0
+    if gc > 0.0:
+        total += gc * s_n
+    if gc < 1.0:
+        total += (1.0 - gc) * s_r
+    return min(max(total, 0.0), 1.0)
+
+
+def coverage(params, beta: float) -> float:
+    """Population coverage: gamma_c-weighted mix of both UE classes."""
+    gc = params.gamma_c
+    s_n = coverage_near(params, beta) if gc > 0.0 else None
+    s_r = coverage_far(params, beta) if gc < 1.0 else None
+    return _mixed_coverage(params, s_n, s_r)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +327,7 @@ def observed_cell_area(params, beta: float) -> tuple[float, float]:
 
     Both are floored at the dedicated-radius disk; A_r never exceeds A_c.
     """
-    r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
-    r_b = effective_mainlobe_radius(r_l, params.theta, beta, params.d_l)
-    lam_b = params.lambda_b * _PER_KM2_TO_M2
+    r_l, r_b, lam_b = _radii(params, beta)
     b_dl = beta * params.d_l
     d_c = params.d_c
 
@@ -322,12 +355,8 @@ def mean_load_far(params, beta: float, literal_load_trigger: bool = False) -> fl
     uses the BS density by default; `literal_load_trigger` switches it to
     the UE density.
     """
-    r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
-    r_b = effective_mainlobe_radius(r_l, params.theta, beta, params.d_l)
-    lam_n_km2, lam_r_km2 = ue_densities(params.lambda_u, params.gamma_c,
-                                        params.lambda_ell, params.d_l,
-                                        params.d_w, params.d_c)
-    lam_b = params.lambda_b * _PER_KM2_TO_M2
+    _, r_b, lam_b = _radii(params, beta)
+    lam_n_km2, lam_r_km2 = _densities(params)
     trigger_density = (params.lambda_u if literal_load_trigger
                        else params.lambda_b) * _PER_KM2_TO_M2
     if r_b < 0.68 / math.sqrt(trigger_density):
@@ -362,17 +391,13 @@ def mean_load_near(params, beta: float, literal_load_trigger: bool = False) -> f
     of near-band and open-space UEs captured by a wall-locked beam of
     width beta*d_l.
     """
-    r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
-    r_b = effective_mainlobe_radius(r_l, params.theta, beta, params.d_l)
+    r_l, r_b, lam_b = _radii(params, beta)
     n_r = mean_load_far(params, beta, literal_load_trigger)
-    lam_b = params.lambda_b * _PER_KM2_TO_M2
-    lam_n_km2, lam_r_km2 = ue_densities(params.lambda_u, params.gamma_c,
-                                        params.lambda_ell, params.d_l,
-                                        params.d_w, params.d_c)
+    lam_n_km2, lam_r_km2 = _densities(params)
     lam_n = lam_n_km2 * _PER_KM2_TO_M2
     lam_r = lam_r_km2 * _PER_KM2_TO_M2
     d_c = params.d_c
-    r_1 = min(r_l - r_b, r_l / 2.0)
+    r_1, _ = ring_radii(r_l, r_b)
 
     strip = lam_n * _c1(d_c, lam_b) \
         + (d_c * lam_n - d_c * lam_r / 2.0) * _half_disk_weight(d_c, r_1, lam_b) \
@@ -401,13 +426,12 @@ def average_rate(params, beta: float,
     """Mean per-UE rate [bit/s]: load-shared spectral efficiency at the
     coverage threshold, mixed over the two UE classes."""
     gc = params.gamma_c
-    noisy = params.include_noise
     s_n = n_n = s_r = n_r = None
     if gc > 0.0:
-        s_n = coverage_near(params, beta, with_noise=noisy)
+        s_n = coverage_near(params, beta)
         n_n = mean_load_near(params, beta, literal_load_trigger)
     if gc < 1.0:
-        s_r = coverage_far(params, beta, with_noise=noisy)
+        s_r = coverage_far(params, beta)
         n_r = mean_load_far(params, beta, literal_load_trigger)
     return _mixed_rate(params, s_n, n_n, s_r, n_r)
 
@@ -455,7 +479,8 @@ def _grid_refine_max(f, lo: float, hi: float,
 
 
 def optimal_bias_coverage(params) -> tuple[float, float]:
-    """(beta*, S*) maximizing population coverage.
+    """(beta*, S*) maximizing population coverage (SINR when the scenario
+    includes noise).
 
     Beyond beta = tan(theta/2)*r_l/d_l the wall-attached coverage freezes
     while the open-space one keeps rising, so when that knee lies inside
@@ -503,12 +528,6 @@ def optimal_bias_rate(params,
 # ---------------------------------------------------------------------------
 # Report
 
-ANALYTIC_CSV_COLUMNS = [
-    "beta", "r_l", "r_beta", "lambda_n", "lambda_r", "p_a", "p_ell",
-    "s_n", "s_r", "s", "n_n", "n_r", "rate",
-]
-
-
 @dataclass(frozen=True)
 class AnalyticReport:
     beta: float
@@ -524,35 +543,28 @@ class AnalyticReport:
     n_n: float
     n_r: float
     rate: float
-    snr_factor: float | None = None
 
     def csv_row(self) -> list[float]:
         return [getattr(self, c) for c in ANALYTIC_CSV_COLUMNS]
+
+
+ANALYTIC_CSV_COLUMNS = [f.name for f in fields(AnalyticReport)]
 
 
 def analytic_report(params, beta: float | None = None,
                     literal_load_trigger: bool = False) -> AnalyticReport:
     """Evaluate the full analytic chain at one bias point."""
     b = params.beta if beta is None else beta
-    r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
-    r_b = effective_mainlobe_radius(r_l, params.theta, b, params.d_l)
-    lam_n, lam_r = ue_densities(params.lambda_u, params.gamma_c,
-                                params.lambda_ell, params.d_l,
-                                params.d_w, params.d_c)
+    r_l, r_b, _ = _radii(params, b)
+    lam_n, lam_r = _densities(params)
     p_a = mainlobe_thinning_prob(params.theta, params.g_s / params.g_m, params.alpha)
     p_ell = region1_interferer_prob(params.theta, p_a)
-    noisy = params.include_noise
-    s_n = coverage_near(params, b, with_noise=noisy)
-    s_r = coverage_far(params, b, with_noise=noisy)
-    s = min(max(params.gamma_c * s_n + (1.0 - params.gamma_c) * s_r, 0.0), 1.0)
+    s_n = coverage_near(params, b)
+    s_r = coverage_far(params, b)
     n_n = mean_load_near(params, b, literal_load_trigger)
     n_r = mean_load_far(params, b, literal_load_trigger)
-    rate = _mixed_rate(params, s_n, n_n, s_r, n_r)
-    ratio = None
-    if noisy:
-        s_clean = coverage(params, b, with_noise=False)
-        ratio = s / s_clean if s_clean > 0 else 1.0
     return AnalyticReport(beta=b, r_l=r_l, r_beta=r_b, lambda_n=lam_n,
                           lambda_r=lam_r, p_a=p_a, p_ell=p_ell, s_n=s_n,
-                          s_r=s_r, s=s, n_n=n_n, n_r=n_r, rate=rate,
-                          snr_factor=ratio)
+                          s_r=s_r, s=_mixed_coverage(params, s_n, s_r),
+                          n_n=n_n, n_r=n_r,
+                          rate=_mixed_rate(params, s_n, n_n, s_r, n_r))

@@ -93,17 +93,6 @@ def classify_many(bs_xy: np.ndarray, field: BuildingField, theta: float,
     return states
 
 
-def _masked_nearest(d2_row: np.ndarray, mask: np.ndarray) -> int:
-    """Index of the smallest distance under the mask, -1 when empty.
-
-    np.argmin takes the first minimum, so exact ties go to the lower index.
-    """
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return -1
-    return int(idx[np.argmin(d2_row[idx])])
-
-
 def _cone_mask(bs_states: list[BsState], ue_xy: np.ndarray) -> np.ndarray:
     """(n_ue, n_bs) mask: UE inside that BS's discovery cone.
 
@@ -126,8 +115,8 @@ def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
 
     Averaged RSRP with a common main-lobe gain makes the winner the
     nearest eligible BS, so each UE first screens its k nearest BSs with
-    a batched LOS test and only falls back to an exhaustive distance-order
-    scan when that screen comes up empty. `use_cones=False` is the plain
+    a batched LOS test and only falls back to the nearest eligible BS
+    among all of them when that screen comes up empty. `use_cones=False` is the plain
     max-RSRP baseline (every BS discoverable, no pilot phase).
     """
     ue_xy = np.atleast_2d(np.asarray(ue_xy, dtype=float))
@@ -168,29 +157,28 @@ def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
 
     # Everyone else gets the exhaustive treatment: the reference winner may
     # hide beyond the screen, and the reverse-pilot phase only applies once
-    # no reference signal reaches the UE at all.
+    # no reference signal reaches the UE at all. The screen's LOS answers
+    # are reused; only the BSs it skipped are tested.
     rest = np.flatnonzero(serving == PATH_NONE)
     if len(rest):
-        if k == n_bs:
-            # reuse the screen, rearranged into BS-index order
-            los_full = np.zeros((len(rest), n_bs), dtype=bool)
-            rows = np.repeat(np.arange(len(rest)), k)
-            los_full[rows, cand[rest].ravel()] = los_k[rest].ravel()
-        else:
-            flat_u = np.repeat(rest, n_bs)
-            flat_b = np.tile(np.arange(n_bs), len(rest))
-            los_full = los_pairs(ue_xy[flat_u], bs_xy[flat_b], field) \
-                .reshape(len(rest), n_bs)
-        for a, u in enumerate(rest):
-            ok = los_full[a]
-            j = _masked_nearest(d2[u], ok & cone[u])
-            if j >= 0:
-                serving[u], path[u] = j, PATH_REFERENCE
-                continue
-            if use_cones:
-                j = _masked_nearest(d2[u], ok)
-                if j >= 0:
-                    serving[u], path[u] = j, PATH_PILOT
+        rows = np.arange(len(rest))
+        los_full = np.zeros((len(rest), n_bs), dtype=bool)
+        screened = np.zeros((len(rest), n_bs), dtype=bool)
+        los_full[rows[:, None], cand[rest]] = los_k[rest]
+        screened[rows[:, None], cand[rest]] = True
+        fu, fb = np.nonzero(~screened)
+        if len(fu):
+            los_full[fu, fb] = los_pairs(ue_xy[rest[fu]], bs_xy[fb], field)
+        d2_rest = d2[rest]
+        # argmin takes the first minimum, so exact ties go to the lower index
+        phases = [(los_full & cone[rest], PATH_REFERENCE)]
+        if use_cones:
+            phases.append((los_full, PATH_PILOT))
+        for ok, how in phases:
+            j = np.argmin(np.where(ok, d2_rest, np.inf), axis=1)
+            win = ok[rows, j] & (serving[rest] == PATH_NONE)
+            serving[rest[win]] = j[win]
+            path[rest[win]] = how
     return Association(serving, path)
 
 

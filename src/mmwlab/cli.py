@@ -150,8 +150,7 @@ def cmd_simulate(args) -> int:
     workers = _worker_count(args.workers)
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
     summary = estimate(params, mode=mode, n_drops=args.drops,
-                       seed_base=args.seed,
-                       workers=None if workers == 1 else workers,
+                       seed_base=args.seed, workers=workers,
                        trace_path=args.trace,
                        association_rule=args.rule)
     lines = [
@@ -294,11 +293,10 @@ def cmd_presets(args) -> int:
 # Parser
 
 
-def _add_common(sub, city=True):
+def _add_common(sub):
     sub.add_argument("--config", metavar="PATH", help="scenario config file")
-    if city:
-        sub.add_argument("--city", choices=sorted(PRESETS),
-                         help="apply a city preset's building statistics")
+    sub.add_argument("--city", choices=sorted(PRESETS),
+                     help="apply a city preset's building statistics")
     sub.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
 

@@ -26,8 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import (DomainError, effective_mainlobe_radius, los_distance,
-                       noise_power_dbm, region1_dbs_fraction, ue_densities)
+from .analytic import (DomainError, effective_mainlobe_radius,
+                       indoor_fraction, los_distance, noise_power_dbm,
+                       region1_dbs_fraction, ring_radii, ue_densities)
 from .association import (PATH_NONE, PATH_REFERENCE, Association, BsState,
                           associate_all, classify_many, schedule)
 from .geometry import (Building, BuildingField, RegionClass, Window,
@@ -349,8 +350,8 @@ def _realize_los_ball(params, seed: int, rng: np.random.Generator,
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
     r_b = effective_mainlobe_radius(r_l, params.theta, params.beta, params.d_l)
     lam_b = params.lambda_b * _PER_KM2_TO_M2
-    indoor_frac = params.lambda_ell * _PER_KM2_TO_M2 * params.d_l * params.d_w
-    lam_ue = params.lambda_u * _PER_KM2_TO_M2 * (1.0 - indoor_frac)
+    lam_ue = params.lambda_u * _PER_KM2_TO_M2 \
+        * (1.0 - indoor_fraction(params.lambda_ell, params.d_l, params.d_w))
 
     near_typical = bool(rng.random() < params.gamma_c)
     typical_class = "near" if near_typical else "far"
@@ -371,8 +372,7 @@ def _realize_los_ball(params, seed: int, rng: np.random.Generator,
     # full main-lobe gain, the displacement-equivalent of its side lobe.
     w = params.theta / (2.0 * math.pi)
     if near_typical:
-        r_1 = min(r_l - r_b, r_l / 2.0)
-        r_eff = max(r_b, r_l / 2.0)
+        r_1, r_eff = ring_radii(r_l, r_b)
         q = region1_dbs_fraction(params.theta)
         m_1 = q + (1.0 - q) * w
         align_p = np.where(rad <= r_1, m_1, np.where(rad <= r_eff, w, 0.0))

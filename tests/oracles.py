@@ -1,13 +1,15 @@
-"""Scalar reference versions of the package's vectorized geometry kernels.
+"""Plain reference versions of the package's fast kernels.
 
-Each function does the job one element at a time, the plain way, so the
-tests can check the batched kernels in `mmwlab` against it. Nothing in
-the package imports this module.
+Each function does the job the plain way (one element at a time, or by
+adaptive quadrature where the package has a closed form), so the tests
+can check the kernels in `mmwlab` against it. Nothing in the package
+imports this module.
 """
 
 import math
 
 import numpy as np
+from scipy import integrate
 
 
 def boundary_distances(field, points):
@@ -75,3 +77,15 @@ def in_discovery_cone(bs, ue):
     if off > math.pi:
         off = 2.0 * math.pi - off
     return off <= bs.discovery_range / 2.0
+
+
+def band_integral(lo, hi, half_alpha):
+    """int_lo^hi du / (1 + u^a) by adaptive quadrature in s = ln(u).
+
+    The substitution turns the long power-law tail into a short,
+    smooth integrand 1 / (e^-s + e^((a - 1) s)).
+    """
+    val, _ = integrate.quad(
+        lambda s: 1.0 / (math.exp(-s) + math.exp((half_alpha - 1.0) * s)),
+        math.log(lo), math.log(hi), epsabs=0.0, epsrel=1e-13, limit=500)
+    return val

@@ -7,6 +7,7 @@ test_simulate.py and the acceptance suite).
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy import integrate
 
 import mmwlab.analytic as A
 from mmwlab.scenario import ScenarioParams, params_for_city
+from oracles import band_integral
 
 P0 = ScenarioParams()  # 400 BS, 400 buildings 30x10, theta=pi/6, t=10
 
@@ -151,11 +153,20 @@ def test_band_integral_log_form_and_tails():
     # alpha = 2 closed form
     assert A._band_integral(0.3, 7.0, 1.0) == pytest.approx(
         math.log1p(7.0) - math.log1p(0.3), rel=1e-12)
-    # generic exponent against direct quadrature
-    ref, _ = integrate.quad(lambda u: 1.0 / (1.0 + u ** 1.25), 0.5, 4e3,
-                            epsabs=1e-12, epsrel=1e-10, limit=400)
-    assert A._band_integral(0.5, 4e3, 1.25) == pytest.approx(ref, rel=1e-8)
     assert A._band_integral(5.0, 5.0, 1.5) == 0.0
+
+
+@pytest.mark.parametrize("half_alpha", [1.25, 1.5, 2.0])
+def test_band_integral_matches_quadrature_oracle(half_alpha):
+    # wide bands are where a cut-off quadrature loses the power-law tail
+    rng = np.random.default_rng(19)
+    bands = [(0.5, 1e7), (0.5, 4e3), (1.0, 1e6)]
+    for _ in range(40):
+        lo = 10.0 ** rng.uniform(-1.0, 1.0)
+        bands.append((lo, lo * 10.0 ** rng.uniform(0.01, 6.0)))
+    for lo, hi in bands:
+        assert A._band_integral(lo, hi, half_alpha) == pytest.approx(
+            band_integral(lo, hi, half_alpha), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +210,12 @@ def test_far_coverage_monotone_in_beta():
 
 
 def test_noise_reduces_coverage():
-    p = P0.with_(include_noise=True)
-    assert A.coverage(p, 0.4, with_noise=True) < A.coverage(p, 0.4)
+    sir = A.coverage(P0, 0.4)
+    sinr = A.coverage(P0.with_(include_noise=True), 0.4)
+    assert sinr < sir
     # 500 MHz thermal noise is tiny next to mmW cell-edge signal power,
     # so the two should still be close.
-    assert A.coverage(p, 0.4) - A.coverage(p, 0.4, with_noise=True) < 0.05
+    assert sir - sinr < 0.05
 
 
 def test_snr_factor_decays_with_distance():
@@ -211,6 +223,15 @@ def test_snr_factor_decays_with_distance():
     s50 = A.snr_factor(p, 50.0)
     s200 = A.snr_factor(p, 200.0)
     assert s50 > s200 > 0.0
+    assert A.snr_factor(P0, 200.0) == 1.0
+
+
+def test_include_noise_governs_coverage_optimum():
+    # weak transmitters make the SIR and SINR optima visibly differ
+    p = P0.with_(include_noise=True, tx_power_dbm=-20.0)
+    beta_star, value = A.optimal_bias_coverage(p)
+    assert value == A.coverage(p, beta_star) == A.analytic_report(p, beta_star).s
+    assert value < A.optimal_bias_coverage(p.with_(include_noise=False))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +332,7 @@ def test_analytic_report_row_matches_columns():
     rep = A.analytic_report(P0, beta=0.5)
     row = rep.csv_row()
     assert len(row) == len(A.ANALYTIC_CSV_COLUMNS)
+    assert [f.name for f in fields(rep)] == A.ANALYTIC_CSV_COLUMNS
     assert rep.s == pytest.approx(0.6 * rep.s_n + 0.4 * rep.s_r, rel=1e-12)
     assert rep.r_l == pytest.approx(130.7546743133)
     assert rep.beta == 0.5
