@@ -27,6 +27,7 @@ CASES = {
     "analytic_default": ["analytic"],
     "analytic_gangnam_b05": ["analytic", "--city", "gangnam", "--beta", "0.5"],
     "optimal_beta_rate": ["optimal-beta", "--objective", "rate"],
+    "optimal_beta_coverage": ["optimal-beta", "--objective", "coverage"],
     # gamma_c = 0 and 1 take the one-class branches of the rate mix
     "sweep_gamma_c": ["sweep", "--key", "gamma_c", "--start", "0", "--stop",
                       "1", "--steps", "5", "--engines", "analytic",
@@ -37,6 +38,9 @@ CASES = {
     "simulate_full_gangnam": ["simulate", "--city", "gangnam", "--mode",
                               "full", "--drops", "6", "--seed", "2",
                               "--beta", "0.5", "--trace", "{trace}"],
+    "simulate_losball": ["simulate", "--mode", "losball", "--drops", "40",
+                         "--seed", "3", "--beta", "0.6", "--trace",
+                         "{trace}"],
 }
 
 
