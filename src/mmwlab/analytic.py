@@ -25,7 +25,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erf, hyp2f1
 
-from .scenario import _PER_KM2_TO_M2
+from .scenario import _PER_KM2_TO_M2, band_fraction, indoor_fraction
 
 
 class DomainError(ValueError):
@@ -71,7 +71,8 @@ def los_distance(lambda_ell: float, d_l: float, d_w: float) -> float:
     if lambda_ell == 0:
         raise InfiniteLosDistance("lambda_ell = 0 gives an unbounded LOS distance")
     lam = lambda_ell * _PER_KM2_TO_M2
-    return math.pi * math.sqrt(2.0 * math.exp(-lam * d_l * d_w)) / (2.0 * lam * (d_l + d_w))
+    outdoor = math.exp(-indoor_fraction(lambda_ell, d_l, d_w))
+    return math.pi * math.sqrt(2.0 * outdoor) / (2.0 * lam * (d_l + d_w))
 
 
 def effective_mainlobe_radius(r_l: float, theta: float, beta: float, d_l: float) -> float:
@@ -106,11 +107,6 @@ def ring_radii(r_l: float, r_b: float) -> tuple[float, float]:
     return min(r_l - r_b, r_l / 2.0), max(r_b, r_l / 2.0)
 
 
-def indoor_fraction(lambda_ell: float, d_l: float, d_w: float) -> float:
-    """Area fraction covered by buildings (lambda_ell per km^2)."""
-    return lambda_ell * _PER_KM2_TO_M2 * d_l * d_w
-
-
 def ue_densities(lambda_u: float, gamma_c: float, lambda_ell: float,
                  d_l: float, d_w: float, d_c: float) -> tuple[float, float]:
     """(near-band, elsewhere) UE densities [1/km^2] for concentration gamma_c.
@@ -118,7 +114,7 @@ def ue_densities(lambda_u: float, gamma_c: float, lambda_ell: float,
     B is the area fraction of the near-building band, I the indoor
     fraction; both must leave room for open space (B + I < 1).
     """
-    b_frac = 2.0 * (lambda_ell * _PER_KM2_TO_M2) * (d_l + d_w) * d_c
+    b_frac = band_fraction(lambda_ell, d_l, d_w, d_c)
     i_frac = indoor_fraction(lambda_ell, d_l, d_w)
     if b_frac <= 0:
         raise DomainError("near-band fraction must be positive")
@@ -174,20 +170,6 @@ def region1_interferer_prob(theta: float, p_a: float) -> float:
     return q * (1.0 - p_a) + p_a
 
 
-def rayleigh_kernel(a: float, b: float, x: float, lambda_b: float) -> float:
-    """Closed form of int_a^b pi*lam_b*r*exp(-(pi/2)*lam_b*r^2*x) dr.
-
-    lambda_b per km^2; a, b in meters; x a positive dimensionless factor.
-    """
-    if a < 0 or b < a:
-        raise DomainError("need 0 <= a <= b")
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x}")
-    lam = lambda_b * _PER_KM2_TO_M2
-    k = (math.pi / 2.0) * lam * x
-    return (math.exp(-k * a * a) - math.exp(-k * b * b)) / x
-
-
 # ---------------------------------------------------------------------------
 # Coverage
 
@@ -212,14 +194,22 @@ def noise_power_dbm(params) -> float:
     return -174.0 + 10.0 * math.log10(params.bandwidth_w) + params.noise_figure_db
 
 
+def _snr_survival(params):
+    """r -> Rayleigh SNR survival exp(-t*sigma^2*r^alpha/(P*g_m)), with the
+    powers in mW converted from dB once; r -> 1 when the scenario leaves
+    noise out."""
+    if not params.include_noise:
+        return lambda r: 1.0
+    neg_t_sigma2 = -params.t * 10.0 ** (noise_power_dbm(params) / 10.0)
+    p_gm = 10.0 ** (params.tx_power_dbm / 10.0) * params.g_m
+    alpha = params.alpha
+    return lambda r: math.exp(neg_t_sigma2 * r ** alpha / p_gm)
+
+
 def snr_factor(params, r: float) -> float:
     """Rayleigh SNR survival exp(-t*sigma^2*r^alpha/(P*g_m)) at distance r;
     1 when the scenario leaves noise out."""
-    if not params.include_noise:
-        return 1.0
-    sigma2_mw = 10.0 ** (noise_power_dbm(params) / 10.0)
-    p_mw = 10.0 ** (params.tx_power_dbm / 10.0)
-    return math.exp(-params.t * sigma2_mw * r ** params.alpha / (p_mw * params.g_m))
+    return _snr_survival(params)(r)
 
 
 def _coverage_pieces(params):
@@ -240,6 +230,7 @@ def coverage_far(params, beta: float) -> float:
     """
     r_l, r_b, lam_b = _radii(params, beta)
     ha, t2a, p_a, gs_mult = _coverage_pieces(params)
+    snr = _snr_survival(params)
 
     def inner(r):
         if r <= 0.0:
@@ -254,7 +245,7 @@ def coverage_far(params, beta: float) -> float:
             bands = gs_mult * _band_integral(u0, u_edge, ha)
         return 2.0 * math.pi * lam_b * r \
             * math.exp(-math.pi * lam_b * r * r * (1.0 + bands)) \
-            * snr_factor(params, r)
+            * snr(r)
 
     val = _quad(inner, 0.0, r_b) + _quad(inner, r_b, r_l)
     return min(max(val, 0.0), 1.0)
@@ -270,6 +261,7 @@ def coverage_near(params, beta: float) -> float:
     """
     r_l, r_b, lam_b = _radii(params, beta)
     ha, t2a, p_a, gs_mult = _coverage_pieces(params)
+    snr = _snr_survival(params)
     r_1, r_eff = ring_radii(r_l, r_b)
     p_ell = region1_interferer_prob(params.theta, p_a)
 
@@ -290,7 +282,7 @@ def coverage_near(params, beta: float) -> float:
                 + gs_mult * _band_integral(u1, u_edge, ha)
         return math.pi * lam_b * r \
             * math.exp(-(math.pi / 2.0) * lam_b * rr * (1.0 + bands)) \
-            * snr_factor(params, r)
+            * snr(r)
 
     val = _quad(inner, 0.0, r_1) + _quad(inner, r_1, r_l)
     return min(max(val, 0.0), 1.0)

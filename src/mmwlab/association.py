@@ -5,13 +5,16 @@ subtends at least its beamwidth becomes dedicated: it broadcasts reference
 signals only into the cone toward that wall. Everyone else broadcasts
 omni-directionally. UEs associate by maximum averaged RSRP among BSs whose
 reference signal reaches them; UEs discovered by nobody fall back to a
-reverse pilot that every LOS BS can hear.
+reverse pilot that every LOS BS can hear. With a common main-lobe gain
+both picks are the nearest eligible LOS BS, which `associate_all` finds
+in two nearest-first rounds: each UE's 16 nearest BSs, then the rest for
+the UEs those leave without a reference winner.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -22,6 +25,8 @@ from .geometry import (BuildingField, Wall, angular_offset, discovery_angle,
 PATH_REFERENCE = 0   # discovered via broadcast reference signal
 PATH_PILOT = 1       # fallback: BS heard the UE's reverse pilot
 PATH_NONE = -1       # uncovered
+
+_SCREEN = 16  # nearest BSs per UE in the first association round, plus ties
 
 
 class BsRole(Enum):
@@ -55,42 +60,48 @@ class Association:
         return np.flatnonzero(self.serving == bs_index)
 
 
-def classify_bs(position, field: BuildingField, theta: float, beta: float,
-                index: int = 0, wall: Wall | None = None) -> BsState:
-    """Role, boresight and discovery range of one BS.
-
-    With no buildings every BS stays omni-directional. The dedicated
-    condition is theta <= subtended angle of the beta-contracted facing
-    wall; beta=0 collapses the wall, so the scheme is off.
-    """
-    pos = (float(position[0]), float(position[1]))
-    if len(field) == 0:
-        return BsState(index, pos, BsRole.OBS, 0.0, 2.0 * math.pi, None)
-    w = wall if wall is not None \
-        else facing_wall(pos, field, field.nearest_building(pos))
-    span = discovery_angle(pos, w, beta)
-    mx, my = w.midpoint
-    bore = math.atan2(my - pos[1], mx - pos[0])
-    if theta <= span:
-        return BsState(index, pos, BsRole.DBS, bore, span, w)
-    return BsState(index, pos, BsRole.OBS, bore, 2.0 * math.pi, w)
-
-
 def classify_many(bs_xy: np.ndarray, field: BuildingField, theta: float,
                   beta: float) -> list[BsState]:
-    """classify_bs over an array of positions, sharing the nearest-building
-    search across all of them."""
+    """Role, boresight and discovery range of each BS, indexed by row.
+
+    With no buildings every BS stays omni-directional. Otherwise a BS
+    looks at the facing wall of its nearest building and becomes dedicated
+    when theta <= the angle that wall subtends once contracted by beta;
+    beta=0 collapses the wall, so the scheme is off.
+    """
     bs_xy = np.atleast_2d(np.asarray(bs_xy, dtype=float))
-    if len(field) == 0 or len(bs_xy) == 0:
-        return [classify_bs(bs_xy[i], field, theta, beta, index=i)
-                for i in range(len(bs_xy))]
-    owners = field.nearest_building_many(bs_xy)
+    if len(field) == 0:
+        return [BsState(i, (float(x), float(y)), BsRole.OBS, 0.0,
+                        2.0 * math.pi, None)
+                for i, (x, y) in enumerate(bs_xy)]
     states = []
-    for i in range(len(bs_xy)):
-        pos = (bs_xy[i, 0], bs_xy[i, 1])
-        w = facing_wall(pos, field, int(owners[i]))
-        states.append(classify_bs(pos, field, theta, beta, index=i, wall=w))
+    for i, owner in enumerate(field.nearest_building_many(bs_xy)):
+        pos = (float(bs_xy[i, 0]), float(bs_xy[i, 1]))
+        w = facing_wall(pos, field, int(owner))
+        span = discovery_angle(pos, w, beta)
+        mx, my = w.midpoint
+        bore = math.atan2(my - pos[1], mx - pos[0])
+        if theta <= span:
+            states.append(BsState(i, pos, BsRole.DBS, bore, span, w))
+        else:
+            states.append(BsState(i, pos, BsRole.OBS, bore, 2.0 * math.pi, w))
     return states
+
+
+def classify_bs(position, field: BuildingField, theta: float, beta: float,
+                index: int = 0) -> BsState:
+    """classify_many on one position, carrying `index`."""
+    return replace(classify_many([position], field, theta, beta)[0],
+                   index=index)
+
+
+def _nearest(ok: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: column of the nearest allowed BS, and whether there is one.
+
+    argmin takes the first minimum, so exact ties go to the lower index.
+    """
+    j = np.argmin(np.where(ok, d2, np.inf), axis=1)
+    return j, ok[np.arange(len(ok)), j]
 
 
 def _cone_mask(bs_states: list[BsState], ue_xy: np.ndarray) -> np.ndarray:
@@ -109,15 +120,20 @@ def _cone_mask(bs_states: list[BsState], ue_xy: np.ndarray) -> np.ndarray:
 
 
 def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
-                  field: BuildingField, use_cones: bool = True,
-                  k_candidates: int = 16) -> Association:
+                  field: BuildingField, use_cones: bool = True) -> Association:
     """Associate every UE. Deterministic: no randomness, ties by BS index.
 
     Averaged RSRP with a common main-lobe gain makes the winner the
-    nearest eligible BS, so each UE first screens its k nearest BSs with
-    a batched LOS test and only falls back to the nearest eligible BS
-    among all of them when that screen comes up empty. `use_cones=False` is the plain
-    max-RSRP baseline (every BS discoverable, no pilot phase).
+    nearest eligible BS, so the scan runs nearest-first in two rounds with
+    one body. Round 1 takes every BS no farther than the UE's _SCREEN-th
+    nearest (ties at that distance included); round 2 takes the rest, and
+    only for UEs that round 1 left without a reference winner. Each round
+    makes one batched LOS test and picks the nearest LOS BS whose cone
+    holds the UE (reference winner) and the nearest LOS BS (pilot
+    candidate). Every round-2 BS is farther than every round-1 BS, so the
+    first round with a hit holds the global winner, and a pilot candidate
+    only serves a UE that no reference signal reaches. `use_cones=False`
+    is the plain max-RSRP baseline (every BS discoverable, no pilot phase).
     """
     ue_xy = np.atleast_2d(np.asarray(ue_xy, dtype=float))
     n_ue, n_bs = len(ue_xy), len(bs_states)
@@ -130,55 +146,25 @@ def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
     d2 = ((ue_xy[:, None, :] - bs_xy[None, :, :]) ** 2).sum(axis=2)
     cone = _cone_mask(bs_states, ue_xy) if use_cones \
         else np.ones((n_ue, n_bs), dtype=bool)
+    k = min(_SCREEN, n_bs)
+    first = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1:k]
 
-    k = min(k_candidates, n_bs)
-    # k nearest BSs per UE, ordered by (distance, index)
-    if k < n_bs:
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    else:
-        part = np.broadcast_to(np.arange(n_bs), (n_ue, n_bs)).copy()
-    pd2 = np.take_along_axis(d2, part, axis=1)
-    order = np.lexsort((part, pd2), axis=1)
-    cand = np.take_along_axis(part, order, axis=1)
-
-    flat_ue = np.repeat(np.arange(n_ue), k)
-    flat_bs = cand.ravel()
-    los_flat = los_pairs(ue_xy[flat_ue], bs_xy[flat_bs], field)
-    los_k = los_flat.reshape(n_ue, k)
-    cone_k = np.take_along_axis(cone, cand, axis=1)
-
-    # reference-signal phase over the k nearest: a hit here is the global
-    # winner, because every unscreened BS is farther than the hit.
-    elig = los_k & cone_k
-    first = np.argmax(elig, axis=1)
-    has = elig.any(axis=1)
-    serving[has] = cand[has, first[has]]
-    path[has] = PATH_REFERENCE
-
-    # Everyone else gets the exhaustive treatment: the reference winner may
-    # hide beyond the screen, and the reverse-pilot phase only applies once
-    # no reference signal reaches the UE at all. The screen's LOS answers
-    # are reused; only the BSs it skipped are tested.
-    rest = np.flatnonzero(serving == PATH_NONE)
-    if len(rest):
-        rows = np.arange(len(rest))
-        los_full = np.zeros((len(rest), n_bs), dtype=bool)
-        screened = np.zeros((len(rest), n_bs), dtype=bool)
-        los_full[rows[:, None], cand[rest]] = los_k[rest]
-        screened[rows[:, None], cand[rest]] = True
-        fu, fb = np.nonzero(~screened)
-        if len(fu):
-            los_full[fu, fb] = los_pairs(ue_xy[rest[fu]], bs_xy[fb], field)
-        d2_rest = d2[rest]
-        # argmin takes the first minimum, so exact ties go to the lower index
-        phases = [(los_full & cone[rest], PATH_REFERENCE)]
+    for in_round in (first, ~first):
+        ues = np.flatnonzero(path != PATH_REFERENCE)
+        pu, pb = np.nonzero(in_round[ues])
+        if len(pu) == 0:
+            break
+        los = np.zeros((len(ues), n_bs), dtype=bool)
+        los[pu, pb] = los_pairs(ue_xy[ues[pu]], bs_xy[pb], field)
+        d2_u = d2[ues]
+        j, hit = _nearest(los & cone[ues], d2_u)
+        serving[ues[hit]] = j[hit]
+        path[ues[hit]] = PATH_REFERENCE
         if use_cones:
-            phases.append((los_full, PATH_PILOT))
-        for ok, how in phases:
-            j = np.argmin(np.where(ok, d2_rest, np.inf), axis=1)
-            win = ok[rows, j] & (serving[rest] == PATH_NONE)
-            serving[rest[win]] = j[win]
-            path[rest[win]] = how
+            j, hit = _nearest(los, d2_u)
+            hit &= serving[ues] == PATH_NONE
+            serving[ues[hit]] = j[hit]
+            path[ues[hit]] = PATH_PILOT
     return Association(serving, path)
 
 

@@ -85,8 +85,22 @@ def params_for_city(name: str, base: ScenarioParams | None = None) -> ScenarioPa
     return base.with_(lambda_ell=c.lambda_ell, d_l=c.d_l, d_w=c.d_w)
 
 
+def indoor_fraction(lambda_ell: float, d_l: float, d_w: float) -> float:
+    """Area fraction covered by buildings (lambda_ell per km^2)."""
+    return lambda_ell * _PER_KM2_TO_M2 * d_l * d_w
+
+
+def band_fraction(lambda_ell: float, d_l: float, d_w: float,
+                  d_c: float) -> float:
+    """Area fraction of the near-building band of width d_c along every
+    wall (lambda_ell per km^2)."""
+    return 2.0 * (lambda_ell * _PER_KM2_TO_M2) * (d_l + d_w) * d_c
+
+
 def validate(params: ScenarioParams) -> ValidationOutcome:
-    """Range-check every field. Collects all violations; never raises."""
+    """Check that the model can evaluate the scenario: every field in
+    range, a beamwidth below pi, and open space left beside the buildings
+    and their near bands. Collects all violations; never raises."""
     bad: list[str] = []
 
     def check(cond: bool, msg: str) -> None:
@@ -101,14 +115,17 @@ def validate(params: ScenarioParams) -> ValidationOutcome:
     check(params.d_l > params.d_w,
           f"d_l must exceed d_w, got d_l={params.d_l} d_w={params.d_w}")
     check(params.d_c > 0, f"d_c must be > 0, got {params.d_c}")
-    # Mean indoor area per km^2 must leave outdoor space for BSs and UEs.
-    check(params.lambda_ell * params.d_l * params.d_w < 1e6,
-          "indoor fraction >= 1: lambda_ell*d_l*d_w = "
-          f"{params.lambda_ell * params.d_l * params.d_w:g} m^2/km^2 >= 1e6")
+    # The near band and the buildings must leave open space for the
+    # remaining users.
+    occupied = band_fraction(params.lambda_ell, params.d_l, params.d_w,
+                             params.d_c) \
+        + indoor_fraction(params.lambda_ell, params.d_l, params.d_w)
+    check(occupied < 1.0, "near-band + indoor area fractions must stay "
+          f"below 1, got {occupied:.4f}")
     check(0.0 <= params.gamma_c <= 1.0,
           f"gamma_c must lie in [0, 1], got {params.gamma_c}")
-    check(0.0 < params.theta <= 2.0 * math.pi,
-          f"theta must lie in (0, 2*pi], got {params.theta}")
+    check(0.0 < params.theta < math.pi,
+          f"theta must lie in (0, pi), got {params.theta}")
     check(params.g_m > 0, f"g_m must be > 0, got {params.g_m}")
     check(params.g_s > 0, f"g_s must be > 0, got {params.g_s}")
     check(params.g_s <= params.g_m,

@@ -26,15 +26,15 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import (DomainError, effective_mainlobe_radius,
-                       indoor_fraction, los_distance, noise_power_dbm,
-                       region1_dbs_fraction, ring_radii, ue_densities)
+from .analytic import (DomainError, effective_mainlobe_radius, los_distance,
+                       noise_power_dbm, region1_dbs_fraction, ring_radii,
+                       ue_densities)
 from .association import (PATH_NONE, PATH_REFERENCE, Association, BsState,
                           associate_all, classify_many, schedule)
 from .geometry import (Building, BuildingField, RegionClass, Window,
                        angular_offset, classify_point, los_to_many,
                        sample_buildings, sample_ppp)
-from .scenario import _PER_KM2_TO_M2
+from .scenario import _PER_KM2_TO_M2, indoor_fraction
 
 RULE_BUILDING_AWARE = "building_aware"
 RULE_MAX_RSRP = "max_rsrp"

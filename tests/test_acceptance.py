@@ -285,19 +285,6 @@ def test_criterion_08_rate_gain_peaks_inside_blockage_range(capfd):
 
 def test_criterion_09_quadrature_and_noise_oracles(capfd):
     rng = np.random.default_rng(90)
-    worst_kernel = 0.0
-    for _ in range(1000):
-        lam_km2 = float(rng.uniform(50.0, 2000.0))
-        lam = lam_km2 * 1e-6
-        a = float(rng.uniform(0.0, 150.0))
-        b = a + float(rng.uniform(0.01, 200.0))
-        x = float(rng.uniform(0.01, 50.0))
-        ref, _ = integrate.quad(
-            lambda r: math.pi * lam * r * math.exp(
-                -0.5 * math.pi * lam * x * r * r),
-            a, b, epsabs=1e-13, epsrel=1e-12)
-        worst_kernel = max(worst_kernel,
-                           abs(A.rayleigh_kernel(a, b, x, lam_km2) - ref))
     worst_c1 = 0.0
     for _ in range(1000):
         lam = float(rng.uniform(50.0, 2000.0)) * 1e-6
@@ -308,11 +295,9 @@ def test_criterion_09_quadrature_and_noise_oracles(capfd):
             0.0, x, epsabs=1e-13, epsrel=1e-12)
         worst_c1 = max(worst_c1, abs(A._c1(x, lam) - ref))
     noise = A.noise_power_dbm(ScenarioParams())
-    ok = worst_kernel <= 1e-9 and worst_c1 <= 1e-9 and abs(noise + 77.0) <= 0.05
-    announce(capfd, 9, ok, f"kernel worst |err| {worst_kernel:.1e}, c1 worst "
-                    f"{worst_c1:.1e} (both <= 1e-9, 1000 draws each); "
-                    f"noise {noise:.3f} dBm (target -77±0.05)")
-    assert worst_kernel <= 1e-9
+    ok = worst_c1 <= 1e-9 and abs(noise + 77.0) <= 0.05
+    announce(capfd, 9, ok, f"c1 worst |err| {worst_c1:.1e} (<= 1e-9, 1000 "
+                    f"draws); noise {noise:.3f} dBm (target -77±0.05)")
     assert worst_c1 <= 1e-9
     assert abs(noise + 77.0) <= 0.05
 

@@ -117,27 +117,6 @@ def test_noise_power():
 # Quadrature kernels
 
 
-def test_rayleigh_kernel_matches_quadrature():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        lam_km2 = rng.uniform(50.0, 2000.0)
-        lam = lam_km2 * 1e-6
-        a = rng.uniform(0.0, 150.0)
-        b = a + rng.uniform(0.01, 200.0)
-        x = rng.uniform(0.01, 50.0)
-        ref, _ = integrate.quad(
-            lambda r: math.pi * lam * r * math.exp(-0.5 * math.pi * lam * x * r * r),
-            a, b, epsabs=1e-13, epsrel=1e-12)
-        assert A.rayleigh_kernel(a, b, x, lam_km2) == pytest.approx(ref, abs=1e-9)
-
-
-def test_rayleigh_kernel_domain():
-    with pytest.raises(A.DomainError):
-        A.rayleigh_kernel(5.0, 1.0, 1.0, 400.0)
-    with pytest.raises(A.DomainError):
-        A.rayleigh_kernel(0.0, 1.0, 0.0, 400.0)
-
-
 def test_c1_matches_quadrature():
     rng = np.random.default_rng(18)
     for _ in range(30):

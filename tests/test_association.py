@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from mmwlab import association
 from mmwlab.association import (
     PATH_NONE,
     PATH_PILOT,
@@ -23,8 +24,9 @@ from mmwlab.association import (
     classify_many,
     schedule,
 )
-from mmwlab.geometry import Building, BuildingField
+from mmwlab.geometry import Building, BuildingField, Window
 from mmwlab.scenario import ScenarioParams
+from mmwlab.simulate import RULE_BUILDING_AWARE, RULE_MAX_RSRP, SimMode, realize
 from oracles import in_discovery_cone, los_between
 
 
@@ -90,13 +92,61 @@ def test_fast_engine_matches_reference_without_cones(seed):
     assert set(np.unique(got.path)) <= {PATH_REFERENCE, PATH_NONE}
 
 
-def test_small_candidate_screen_still_exact():
-    # force the k-nearest screen to miss so the exhaustive pass must run
-    field, states, _, ue_xy, params = random_scene(7, n_bs=60, n_ue=50)
-    a_small = associate_all(ue_xy, states, field, k_candidates=2)
-    a_big = associate_all(ue_xy, states, field, k_candidates=60)
-    assert np.array_equal(a_small.serving, a_big.serving)
-    assert np.array_equal(a_small.path, a_big.path)
+def lattice_scene(seed, n_buildings=6, span=60.0):
+    """BSs on random points of a 10 m grid, UEs at grid-cell centres: many
+    UEs see several BSs at exactly the same distance, including at the
+    boundary of the first association round."""
+    rng = np.random.default_rng(seed)
+    field = BuildingField([
+        Building(center=(float(x), float(y)), length=30.0, width=10.0,
+                 orientation=float(o))
+        for (x, y), o in zip(rng.uniform(-span, span, size=(n_buildings, 2)),
+                             rng.uniform(0.0, math.pi, size=n_buildings))])
+    grid = np.arange(-span, span + 1.0, 10.0)
+    nodes = np.array([(x, y) for x in grid for y in grid])
+    bs_xy = nodes[rng.random(len(nodes)) < 0.4]
+    cells = nodes[(nodes[:, 0] < span) & (nodes[:, 1] < span)] + 5.0
+    ue_xy = cells[rng.choice(len(cells), size=30, replace=False)]
+    return field, classify_many(bs_xy, field, math.pi / 6, 0.8), bs_xy, ue_xy
+
+
+@pytest.mark.parametrize("screen", [1, 4, 16])
+def test_lattice_ties_at_round_boundary_match_reference(screen, monkeypatch):
+    # 16 is the engine's own first round; 1 and 4 put the tied boundary
+    # among the nearest BSs, where the winners usually are
+    monkeypatch.setattr(association, "_SCREEN", screen)
+    boundary_ties = 0
+    for seed in range(5):
+        field, states, bs_xy, ue_xy = lattice_scene(seed)
+        d2 = np.sort(((ue_xy[:, None, :] - bs_xy[None, :, :]) ** 2).sum(axis=2),
+                     axis=1)
+        boundary_ties += int(np.sum(d2[:, screen - 1] == d2[:, screen]))
+        for use_cones in (True, False):
+            got = associate_all(ue_xy, states, field, use_cones=use_cones)
+            ref_serving, ref_path = reference_associate(ue_xy, states, field,
+                                                        use_cones=use_cones)
+            assert np.array_equal(got.serving, ref_serving)
+            if use_cones:
+                assert np.array_equal(got.path, ref_path)
+    # some UEs do have BSs tied at the round boundary on both sides of it
+    assert boundary_ties > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_full_engine_drops_with_two_bs_first_round_match_reference(
+        seed, monkeypatch):
+    # with two BSs in round 1 most UEs need round 2 in these 9-19 BS drops
+    monkeypatch.setattr(association, "_SCREEN", 2)
+    for rule, use_cones in ((RULE_BUILDING_AWARE, True),
+                            (RULE_MAX_RSRP, False)):
+        drop = realize(ScenarioParams(beta=0.7), SimMode.FULL_GEOMETRY, seed,
+                       association_rule=rule, keep_drop=True,
+                       window=Window(60.0, 30.0)).drop
+        ref_serving, ref_path = reference_associate(
+            drop.ue_xy, drop.bs_states, drop.field, use_cones=use_cones)
+        assert np.array_equal(drop.association.serving, ref_serving)
+        if use_cones:
+            assert np.array_equal(drop.association.path, ref_path)
 
 
 def test_zero_bias_equals_plain_rsrp():

@@ -85,6 +85,35 @@ def test_analytic_beta_out_of_range():
     assert "beta" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytic"], ["optimal-beta"], ["simulate", "--mode", "full"],
+    ["simulate", "--mode", "losball"]])
+def test_scenarios_outside_the_model_domain_exit_2(argv, tmp_path):
+    code, _, err = run(argv + ["--city", "manhattan"])
+    assert code == EXIT_CONFIG
+    assert "indoor" in err
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("theta = 4.0\n")
+    code, _, err = run(argv + ["--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "theta" in err
+
+
+def test_theta_sweep_status_agrees_across_engines(tmp_path):
+    path = tmp_path / "theta.csv"
+    code, _, _ = run(["sweep", "--key", "theta", "--start", "2", "--stop", "4",
+                      "--steps", "3", "--engines",
+                      "analytic,sim-full,sim-losball", "--drops", "2",
+                      "--out", str(path)])
+    assert code == EXIT_OK
+    _, header, rows = read_csv(path)
+    status = {}
+    for r in rows:
+        status.setdefault(r[header.index("value")], set()).add(
+            r[header.index("status")])
+    assert status == {"2": {"ok"}, "3": {"ok"}, "4": {"error:ConfigError"}}
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "scen.cfg"
     cfg.write_text("lambda_b = 300\ntheta = 0.5235987755982988\n"
@@ -195,8 +224,9 @@ def test_sweep_serial_parallel_identical(tmp_path):
 
 
 def test_sweep_partial_failures_keep_exit_zero(tmp_path):
-    # lambda_ell = 2000 works, 2750 starves the outdoor user band, and
-    # 3500 fails validation outright; the sweep should record all three.
+    # lambda_ell = 2000 works; at 2750 and 3500 the buildings and their
+    # near bands leave no open space, so both fail validation. The sweep
+    # should record all three.
     path = tmp_path / "err.csv"
     code, _, _ = run(["sweep", "--key", "lambda_ell", "--start", "2000",
                       "--stop", "3500", "--steps", "3", "--engines",

@@ -54,6 +54,25 @@ def test_indoor_fraction_at_least_one_rejected():
     assert any("indoor" in v for v in outcome.violations)
 
 
+@pytest.mark.parametrize("key,ok", [("gangnam", True), ("chicago", True),
+                                    ("manhattan", False)])
+def test_presets_inside_the_model_domain(key, ok):
+    # Manhattan's buildings and their 2 m bands cover 1.0875 of the area
+    outcome = validate(params_for_city(key))
+    assert outcome.ok is ok
+    if not ok:
+        assert outcome.violations == (
+            "near-band + indoor area fractions must stay below 1, got 1.0875",)
+
+
+def test_beamwidth_must_stay_below_pi():
+    assert validate(ScenarioParams().with_(theta=3.0)).ok
+    for theta in (math.pi, 4.0, 0.0):
+        outcome = validate(ScenarioParams().with_(theta=theta))
+        assert not outcome.ok
+        assert any("theta" in v for v in outcome.violations)
+
+
 def test_building_length_must_exceed_width():
     outcome = validate(ScenarioParams().with_(d_l=10.0, d_w=10.0))
     assert not outcome.ok
