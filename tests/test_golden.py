@@ -32,6 +32,10 @@ CASES = {
     "sweep_gamma_c": ["sweep", "--key", "gamma_c", "--start", "0", "--stop",
                       "1", "--steps", "5", "--engines", "analytic",
                       "--rate-gain"],
+    # sparse fields draw large windows: ~355 buildings and ~4,300 UEs a drop
+    "sweep_sparse_full": ["sweep", "--key", "lambda_ell", "--start", "150",
+                          "--stop", "400", "--steps", "2", "--engines",
+                          "sim-full", "--drops", "4", "--seed", "7"],
     "simulate_full_max_rsrp": ["simulate", "--mode", "full", "--rule",
                                "max_rsrp", "--drops", "6", "--seed", "5",
                                "--beta", "0.6", "--trace", "{trace}"],
