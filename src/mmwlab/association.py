@@ -7,8 +7,9 @@ omni-directionally. UEs associate by maximum averaged RSRP among BSs whose
 reference signal reaches them; UEs discovered by nobody fall back to a
 reverse pilot that every LOS BS can hear. With a common main-lobe gain
 both picks are the nearest eligible LOS BS, which `associate_all` finds
-in two nearest-first rounds: each UE's 16 nearest BSs, then the rest for
-the UEs those leave without a reference winner.
+by walking each UE's BSs nearest-first in rank blocks of doubling width:
+first the BSs whose cone holds the UE, then the others, only for the UEs
+that no cone BS reaches.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ PATH_REFERENCE = 0   # discovered via broadcast reference signal
 PATH_PILOT = 1       # fallback: BS heard the UE's reverse pilot
 PATH_NONE = -1       # uncovered
 
-_SCREEN = 16  # nearest BSs per UE in the first association round, plus ties
+_FIRST_BLOCK = 2  # BSs per UE in the first block of the nearest-first walk
 
 
 class BsRole(Enum):
@@ -95,15 +96,6 @@ def classify_bs(position, field: BuildingField, theta: float, beta: float,
                    index=index)
 
 
-def _nearest(ok: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: column of the nearest allowed BS, and whether there is one.
-
-    argmin takes the first minimum, so exact ties go to the lower index.
-    """
-    j = np.argmin(np.where(ok, d2, np.inf), axis=1)
-    return j, ok[np.arange(len(ok)), j]
-
-
 def _cone_mask(bs_states: list[BsState], ue_xy: np.ndarray) -> np.ndarray:
     """(n_ue, n_bs) mask: UE inside that BS's discovery cone.
 
@@ -119,21 +111,65 @@ def _cone_mask(bs_states: list[BsState], ue_xy: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _sq_distances(ue_xy: np.ndarray, bs_xy: np.ndarray) -> np.ndarray:
+    """(n_ue, n_bs) squared distances, built in place to keep one spare copy."""
+    d2 = ue_xy[:, None, 0] - bs_xy[None, :, 0]
+    d2 *= d2
+    dy = ue_xy[:, None, 1] - bs_xy[None, :, 1]
+    dy *= dy
+    d2 += dy
+    return d2
+
+
+def _walk(d2: np.ndarray, ues: np.ndarray, ue_xy: np.ndarray,
+          bs_xy: np.ndarray, field: BuildingField) -> np.ndarray:
+    """Column of the nearest LOS BS for each row, -1 where none is LOS.
+
+    Row r of `d2` holds UE ues[r]'s squared distances, inf for a BS it may
+    not take. The walk goes nearest-first in rank blocks that double in
+    width: each block holds the row's BSs that are farther than the
+    previous block's threshold and no farther than its own, the k-th
+    smallest distance (ties at it included). One batched LOS test covers
+    the block of every row still walking, and a row stops at its first
+    block with a LOS BS: later blocks are strictly farther, and within
+    the block the nearest LOS BS wins, ties by BS index.
+    """
+    n_bs = d2.shape[1]
+    win = np.full(len(d2), -1)
+    below = np.full(len(d2), -1.0)  # threshold of the previous block
+    rows = np.arange(len(d2))
+    k = _FIRST_BLOCK
+    while len(rows):
+        sub = d2 if len(rows) == len(d2) else d2[rows]
+        if k < n_bs:
+            top = np.partition(sub, k - 1, axis=1)[:, k - 1]
+        else:
+            top = np.full(len(rows), np.inf)
+        pu, pb = np.nonzero((sub > below[rows, None]) & (sub <= top[:, None])
+                            & (sub < np.inf))
+        los = los_pairs(ue_xy[ues[rows[pu]]], bs_xy[pb], field)
+        pu, pb = pu[los], pb[los]
+        # lexsort is stable and pb ascends within a row: ties keep BS order
+        order = np.lexsort((sub[pu, pb], pu))
+        first = order[np.flatnonzero(np.diff(pu[order], prepend=-1))]
+        win[rows[pu[first]]] = pb[first]
+        below[rows] = top
+        rows = rows[(win[rows] < 0) & (top < np.inf)]
+        k *= 2
+    return win
+
+
 def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
                   field: BuildingField, use_cones: bool = True) -> Association:
     """Associate every UE. Deterministic: no randomness, ties by BS index.
 
     Averaged RSRP with a common main-lobe gain makes the winner the
-    nearest eligible BS, so the scan runs nearest-first in two rounds with
-    one body. Round 1 takes every BS no farther than the UE's _SCREEN-th
-    nearest (ties at that distance included); round 2 takes the rest, and
-    only for UEs that round 1 left without a reference winner. Each round
-    makes one batched LOS test and picks the nearest LOS BS whose cone
-    holds the UE (reference winner) and the nearest LOS BS (pilot
-    candidate). Every round-2 BS is farther than every round-1 BS, so the
-    first round with a hit holds the global winner, and a pilot candidate
-    only serves a UE that no reference signal reaches. `use_cones=False`
-    is the plain max-RSRP baseline (every BS discoverable, no pilot phase).
+    nearest eligible BS, so each UE walks its BSs nearest-first (`_walk`)
+    and stops at the first LOS one. The reference walk takes the BSs
+    whose cone holds the UE; only UEs it leaves without a winner walk the
+    other BSs, whose nearest LOS one then hears their pilot (every cone
+    BS of theirs is blocked). `use_cones=False` is the plain max-RSRP
+    baseline (every BS discoverable, no pilot phase).
     """
     ue_xy = np.atleast_2d(np.asarray(ue_xy, dtype=float))
     n_ue, n_bs = len(ue_xy), len(bs_states)
@@ -143,28 +179,23 @@ def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
         return Association(serving, path)
 
     bs_xy = np.array([s.position for s in bs_states])
-    d2 = ((ue_xy[:, None, :] - bs_xy[None, :, :]) ** 2).sum(axis=2)
-    cone = _cone_mask(bs_states, ue_xy) if use_cones \
-        else np.ones((n_ue, n_bs), dtype=bool)
-    k = min(_SCREEN, n_bs)
-    first = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-
-    for in_round in (first, ~first):
-        ues = np.flatnonzero(path != PATH_REFERENCE)
-        pu, pb = np.nonzero(in_round[ues])
-        if len(pu) == 0:
-            break
-        los = np.zeros((len(ues), n_bs), dtype=bool)
-        los[pu, pb] = los_pairs(ue_xy[ues[pu]], bs_xy[pb], field)
-        d2_u = d2[ues]
-        j, hit = _nearest(los & cone[ues], d2_u)
-        serving[ues[hit]] = j[hit]
-        path[ues[hit]] = PATH_REFERENCE
-        if use_cones:
-            j, hit = _nearest(los, d2_u)
-            hit &= serving[ues] == PATH_NONE
-            serving[ues[hit]] = j[hit]
-            path[ues[hit]] = PATH_PILOT
+    d2 = _sq_distances(ue_xy, bs_xy)
+    if use_cones:
+        cone = _cone_mask(bs_states, ue_xy)
+        d2[~cone] = np.inf
+    ues = np.arange(n_ue)
+    win = _walk(d2, ues, ue_xy, bs_xy, field)
+    hit = win >= 0
+    serving[hit] = win[hit]
+    path[hit] = PATH_REFERENCE
+    if use_cones:
+        ues = np.flatnonzero(~hit)
+        d2 = _sq_distances(ue_xy[ues], bs_xy)
+        d2[cone[ues]] = np.inf
+        win = _walk(d2, ues, ue_xy, bs_xy, field)
+        hit = win >= 0
+        serving[ues[hit]] = win[hit]
+        path[ues[hit]] = PATH_PILOT
     return Association(serving, path)
 
 

@@ -256,16 +256,18 @@ def cmd_sweep(args) -> int:
                 literal_loads=args.literal_loads, rate_gain=args.rate_gain),
         _row(SWEEP_CSV_COLUMNS),
     ]
-    n_err = 0
-    n_rows = 0
+    status = SWEEP_CSV_COLUMNS.index("status")
+    statuses = set()
     for rows in results:
         for row in rows:
             lines.append(_row(row))
-            n_rows += 1
-            if str(row[SWEEP_CSV_COLUMNS.index("status")]).startswith("error"):
-                n_err += 1
+            statuses.add(row[status])
     _emit(lines, args.out)
-    return EXIT_NUMERIC if n_err == n_rows else EXIT_OK
+    # a sweep with no ok row fails like its rows: exit 2 when every one
+    # lies outside the model's domain, 3 when any failed numerically
+    if "ok" in statuses:
+        return EXIT_OK
+    return EXIT_CONFIG if statuses == {"error:ConfigError"} else EXIT_NUMERIC
 
 
 def cmd_presets(args) -> int:

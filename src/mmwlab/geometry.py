@@ -16,6 +16,8 @@ import numpy as np
 
 from .scenario import _PER_KM2_TO_M2
 
+_LOS_BLOCK = 256  # segments screened and clipped against every building at once
+
 
 class EmptyFieldError(ValueError):
     """Raised when a query needs at least one building and none exist."""
@@ -107,30 +109,32 @@ class BuildingField:
         self.centers = np.array([b.center for b in self.buildings], dtype=float).reshape(n, 2)
         self.half_l = np.array([b.length / 2.0 for b in self.buildings])
         self.half_w = np.array([b.width / 2.0 for b in self.buildings])
+        self.circum = np.hypot(self.half_l, self.half_w)
         ors = np.array([b.orientation for b in self.buildings])
         self.cos_o = np.cos(ors) if n else np.zeros(0)
         self.sin_o = np.sin(ors) if n else np.zeros(0)
+        self._grids: dict[float, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.buildings)
 
-    def to_local(self, points: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of `points` in building i's axis frame."""
-        d = np.atleast_2d(points) - self.centers[i]
-        u = d[:, 0] * self.cos_o[i] + d[:, 1] * self.sin_o[i]
-        v = -d[:, 0] * self.sin_o[i] + d[:, 1] * self.cos_o[i]
-        return u, v
+    def _local(self, points: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of each points[k] in building owners[k]'s axis frame."""
+        dx = points[:, 0] - self.centers[owners, 0]
+        dy = points[:, 1] - self.centers[owners, 1]
+        cos, sin = self.cos_o[owners], self.sin_o[owners]
+        return dx * cos + dy * sin, -dx * sin + dy * cos
 
-    def _distance(self, points: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Euclidean distance to rectangle i, inside mask) for each point.
-
-        The distance is 0 for points inside or on the rectangle.
+    def _pair_distance(self, points: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Euclidean distance to rectangle owners[k], inside mask) for each
+        points[k]. The distance is 0 for points inside or on the rectangle.
         """
-        u, v = self.to_local(points, i)
+        u, v = self._local(points, owners)
         au, av = np.abs(u), np.abs(v)
-        du = np.maximum(au - self.half_l[i], 0.0)
-        dv = np.maximum(av - self.half_w[i], 0.0)
-        return np.hypot(du, dv), (au <= self.half_l[i]) & (av <= self.half_w[i])
+        hl, hw = self.half_l[owners], self.half_w[owners]
+        du = np.maximum(au - hl, 0.0)
+        dv = np.maximum(av - hw, 0.0)
+        return np.hypot(du, dv), (au <= hl) & (av <= hw)
 
     def nearest_building(self, point) -> int:
         """Index of the rectangle nearest to `point` (ties: smaller index)."""
@@ -138,39 +142,81 @@ class BuildingField:
         return int(self.nearest_building_many(pt)[0])
 
     def nearest_building_many(self, points: np.ndarray) -> np.ndarray:
-        """Index of the nearest rectangle for each point (ties: smaller index)."""
+        """Index of the nearest rectangle for each point (ties: smaller index).
+
+        Each pass takes the candidates of the cell hash at one reach and
+        settles the points whose nearest candidate lies within it, since
+        every rectangle outside the neighborhood is at least that far. The
+        rest go round again at twice the reach, until the neighborhood of
+        every point holds every rectangle.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(self) == 0:
             raise EmptyFieldError("building field is empty")
-        best = np.full(len(pts), np.inf)
-        best_i = np.zeros(len(pts), dtype=int)
-        for i in range(len(self)):
-            dist, _ = self._distance(pts, i)
-            closer = dist < best
-            best = np.where(closer, dist, best)
-            best_i = np.where(closer, i, best_i)
-        return best_i
+        span = float(np.ptp(np.vstack([pts, self.centers]), axis=0).max())
+        if not math.isfinite(span):
+            raise ValueError("points must be finite")
+        width, height = np.ptp(self.centers, axis=0)
+        # start at the mean spacing of the centers
+        reach = max(math.sqrt(width * height / len(self)), float(np.max(self.circum)))
+        best = np.zeros(len(pts), dtype=int)
+        todo = np.arange(len(pts))
+        while len(todo):
+            pt, b = self._candidates(pts[todo], reach)
+            dist, _ = self._pair_distance(pts[todo[pt]], b)
+            order = np.lexsort((b, dist, pt))  # per point: nearest, then index
+            first = order[np.flatnonzero(np.diff(pt[order], prepend=-1))]
+            done = first if reach >= span else first[dist[first] < reach]
+            best[todo[pt[done]]] = b[done]
+            todo = np.delete(todo, pt[done])
+            reach *= 2.0
+        return best
 
-    def _cell_grid(self, reach: float):
+    def _cell_grid(self, reach: float) -> tuple:
         """Uniform hash of building centers, keyed by the query reach.
 
         Cell size >= circumradius + reach guarantees that every rectangle
         within `reach` of a point has its center inside the point's 3x3
-        cell neighborhood.
+        cell neighborhood. A cell's key is column * rows + row, counted
+        from two cells outside the occupied range, so the three cells of
+        one column in a neighborhood are one run of keys. Returns the cell
+        size, the lowest and highest cell (both two cells outside), the
+        row count, the sorted building keys and the building indices in
+        that order.
         """
         key = round(reach, 9)
-        cache = getattr(self, "_grid_cache", None)
-        if cache is not None and cache[0] == key:
-            return cache[1], cache[2]
-        circum = float(np.max(np.hypot(self.half_l, self.half_w))) if len(self) else 1.0
-        cell = max(circum + reach, 1e-6)
-        cells: dict[tuple[int, int], list[int]] = {}
-        for i in range(len(self)):
-            cx = math.floor(self.centers[i, 0] / cell)
-            cy = math.floor(self.centers[i, 1] / cell)
-            cells.setdefault((cx, cy), []).append(i)
-        self._grid_cache = (key, cell, cells)
-        return cell, cells
+        grid = self._grids.get(key)
+        if grid is None:
+            cell = max(float(np.max(self.circum)) + reach, 1e-6)
+            ij = np.floor(self.centers / cell)
+            lo = ij.min(axis=0) - 2.0
+            hi = ij.max(axis=0) + 2.0
+            rows = int(hi[1] - lo[1]) + 1
+            ij -= lo
+            keys = (ij[:, 0] * rows + ij[:, 1]).astype(np.int64)
+            order = np.argsort(keys, kind="stable")
+            grid = (cell, lo, hi, rows, keys[order], order)
+            self._grids[key] = grid
+        return grid
+
+    def _candidates(self, pts: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+        """(point index, building index) for every building whose center
+        lies in the 3x3 cell neighborhood of a point: a superset of the
+        buildings within `reach` of it.
+
+        A point outside the occupied cells is clamped to the outer ring,
+        whose neighborhoods hold no building, as the true ones do not.
+        """
+        cell, lo, hi, rows, keys, order = self._cell_grid(reach)
+        ij = np.clip(np.floor(pts / cell), lo, hi) - lo
+        mid = (ij[:, 0] * rows + ij[:, 1]).astype(np.int64)
+        runs = mid[:, None] + rows * np.arange(-1, 2)
+        starts = np.searchsorted(keys, (runs - 1).ravel(), side="left")
+        counts = np.searchsorted(keys, (runs + 1).ravel(), side="right") - starts
+        point = np.repeat(np.arange(len(pts)), 3)
+        first = np.cumsum(counts) - counts
+        pos = np.arange(counts.sum()) + np.repeat(starts - first, counts)
+        return np.repeat(point, counts), order[pos]
 
     def near_indoor_masks(self, points: np.ndarray, d_c: float) -> tuple[np.ndarray, np.ndarray]:
         """(within-d_c mask, indoor mask), grid-accelerated but exact.
@@ -184,26 +230,10 @@ class BuildingField:
         indoor = np.zeros(len(pts), dtype=bool)
         if len(self) == 0 or len(pts) == 0:
             return near, indoor
-        cell, cells = self._cell_grid(d_c)
-        ix = np.floor(pts[:, 0] / cell).astype(int)
-        iy = np.floor(pts[:, 1] / cell).astype(int)
-        order = np.lexsort((iy, ix))
-        sx, sy = ix[order], iy[order]
-        breaks = np.flatnonzero((np.diff(sx) != 0) | (np.diff(sy) != 0)) + 1
-        groups = np.split(order, breaks)
-        for grp in groups:
-            gx, gy = ix[grp[0]], iy[grp[0]]
-            cand: list[int] = []
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    cand.extend(cells.get((gx + ox, gy + oy), ()))
-            if not cand:
-                continue
-            sub = pts[grp]
-            for i in cand:
-                dist, inside = self._distance(sub, i)
-                near[grp] |= dist <= d_c
-                indoor[grp] |= inside
+        pt, b = self._candidates(pts, d_c)
+        dist, inside = self._pair_distance(pts[pt], b)
+        near[pt[dist <= d_c]] = True
+        indoor[pt[inside]] = True
         return near, indoor
 
 
@@ -243,10 +273,10 @@ def los_pairs(ps: np.ndarray, qs: np.ndarray, field: BuildingField) -> np.ndarra
 
     A segment is LOS iff its open interior meets no rectangle (interior or
     boundary); contact at an endpoint only does not block, and zero-length
-    segments are unobstructed. Each rectangle is tested by slab clipping in
-    its own frame, after a bounding-box rejection keeps the arithmetic off
-    segments that cannot possibly touch it. A single start point in `ps`
-    is shared by every segment.
+    segments are unobstructed. Blocks of segments are screened against
+    every rectangle at once by bounding boxes, and each surviving
+    (segment, rectangle) pair is slab-clipped in the rectangle's frame.
+    A single start point in `ps` is shared by every segment.
     """
     ps = np.atleast_2d(np.asarray(ps, dtype=float))
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
@@ -258,35 +288,34 @@ def los_pairs(ps: np.ndarray, qs: np.ndarray, field: BuildingField) -> np.ndarra
         return ~blocked
     lo_xy = np.minimum(ps, qs)
     hi_xy = np.maximum(ps, qs)
-    circum = np.hypot(field.half_l, field.half_w)
-    for i in range(len(field)):
-        cx, cy = field.centers[i]
-        rad = circum[i]
-        cand = ~blocked \
-            & (lo_xy[:, 0] <= cx + rad) & (hi_xy[:, 0] >= cx - rad) \
-            & (lo_xy[:, 1] <= cy + rad) & (hi_xy[:, 1] >= cy - rad)
-        if not cand.any():
+    x_lo, y_lo = (field.centers - field.circum[:, None]).T.copy()
+    x_hi, y_hi = (field.centers + field.circum[:, None]).T.copy()
+    for s in range(0, n, _LOS_BLOCK):
+        lo, hi = lo_xy[s:s + _LOS_BLOCK], hi_xy[s:s + _LOS_BLOCK]
+        k, i = np.nonzero((lo[:, 0, None] <= x_hi) & (hi[:, 0, None] >= x_lo)
+                          & (lo[:, 1, None] <= y_hi) & (hi[:, 1, None] >= y_lo))
+        if len(k) == 0:
             continue
-        idx = np.flatnonzero(cand)
-        up, vp = field.to_local(ps[idx], i)
-        uq, vq = field.to_local(qs[idx], i)
+        k += s
+        up, vp = field._local(ps[k], i)
+        uq, vq = field._local(qs[k], i)
         du = uq - up
         dv = vq - vp
-        t0 = np.zeros(len(idx))
-        t1 = np.ones(len(idx))
-        alive = np.ones(len(idx), dtype=bool)
+        t0 = np.zeros(len(k))
+        t1 = np.ones(len(k))
+        alive = np.ones(len(k), dtype=bool)
         for comp, half, p0c in ((du, field.half_l[i], up), (dv, field.half_w[i], vp)):
             par = np.abs(comp) < 1e-15
             alive &= ~(par & (np.abs(p0c) > half))
             safe = np.where(par, 1.0, comp)
             ta = (-half - p0c) / safe
             tb = (half - p0c) / safe
-            lo = np.minimum(ta, tb)
-            hi = np.maximum(ta, tb)
-            t0 = np.where(par, t0, np.maximum(t0, lo))
-            t1 = np.where(par, t1, np.minimum(t1, hi))
+            lo_t = np.minimum(ta, tb)
+            hi_t = np.maximum(ta, tb)
+            t0 = np.where(par, t0, np.maximum(t0, lo_t))
+            t1 = np.where(par, t1, np.minimum(t1, hi_t))
         hit = alive & (t0 <= t1) & (t1 > 0.0) & (t0 < 1.0)
-        blocked[idx[hit]] = True
+        blocked[k[hit]] = True
     same = (qs[:, 0] == ps[:, 0]) & (qs[:, 1] == ps[:, 1])
     return ~blocked | same
 

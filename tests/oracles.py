@@ -12,6 +12,23 @@ import numpy as np
 from scipy import integrate
 
 
+def to_local(field, points, i):
+    """Coordinates of `points` in building i's axis frame."""
+    d = np.atleast_2d(points) - field.centers[i]
+    u = d[:, 0] * field.cos_o[i] + d[:, 1] * field.sin_o[i]
+    v = -d[:, 0] * field.sin_o[i] + d[:, 1] * field.cos_o[i]
+    return u, v
+
+
+def _distances_to(field, i, pts):
+    """(distance to rectangle i, inside mask) for each point."""
+    u, v = to_local(field, pts, i)
+    du = np.maximum(np.abs(u) - field.half_l[i], 0.0)
+    dv = np.maximum(np.abs(v) - field.half_w[i], 0.0)
+    inside = (np.abs(u) <= field.half_l[i]) & (np.abs(v) <= field.half_w[i])
+    return np.hypot(du, dv), inside
+
+
 def boundary_distances(field, points):
     """(min distance to any rectangle, indoor mask) for each point.
 
@@ -22,18 +39,24 @@ def boundary_distances(field, points):
     best = np.full(len(pts), np.inf)
     indoor = np.zeros(len(pts), dtype=bool)
     for i in range(len(field)):
-        u, v = field.to_local(pts, i)
-        du = np.maximum(np.abs(u) - field.half_l[i], 0.0)
-        dv = np.maximum(np.abs(v) - field.half_w[i], 0.0)
-        best = np.minimum(best, np.hypot(du, dv))
-        indoor |= (np.abs(u) <= field.half_l[i]) & (np.abs(v) <= field.half_w[i])
+        dist, inside = _distances_to(field, i, pts)
+        best = np.minimum(best, dist)
+        indoor |= inside
     return best, indoor
+
+
+def nearest_buildings(field, points):
+    """Index of the nearest rectangle for each point, visiting every
+    rectangle; exact ties go to the smaller index."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dist = np.array([_distances_to(field, i, pts)[0] for i in range(len(field))])
+    return np.argmin(dist, axis=0)
 
 
 def _segment_blocked_by(field, i, p, q):
     """Open segment (p, q) vs solid rectangle i, via slab clipping."""
-    up, vp = field.to_local(p[None, :], i)
-    uq, vq = field.to_local(q[None, :], i)
+    up, vp = to_local(field, p[None, :], i)
+    uq, vq = to_local(field, q[None, :], i)
     p0 = (up[0], vp[0])
     d = (uq[0] - up[0], vq[0] - vp[0])
     half = (field.half_l[i], field.half_w[i])

@@ -18,6 +18,7 @@ from mmwlab.association import (
     PATH_REFERENCE,
     Association,
     BsRole,
+    BsState,
     _cone_mask,
     associate_all,
     classify_bs,
@@ -92,51 +93,139 @@ def test_fast_engine_matches_reference_without_cones(seed):
     assert set(np.unique(got.path)) <= {PATH_REFERENCE, PATH_NONE}
 
 
-def lattice_scene(seed, n_buildings=6, span=60.0):
-    """BSs on random points of a 10 m grid, UEs at grid-cell centres: many
-    UEs see several BSs at exactly the same distance, including at the
-    boundary of the first association round."""
-    rng = np.random.default_rng(seed)
-    field = BuildingField([
-        Building(center=(float(x), float(y)), length=30.0, width=10.0,
-                 orientation=float(o))
-        for (x, y), o in zip(rng.uniform(-span, span, size=(n_buildings, 2)),
-                             rng.uniform(0.0, math.pi, size=n_buildings))])
-    grid = np.arange(-span, span + 1.0, 10.0)
-    nodes = np.array([(x, y) for x in grid for y in grid])
-    bs_xy = nodes[rng.random(len(nodes)) < 0.4]
-    cells = nodes[(nodes[:, 0] < span) & (nodes[:, 1] < span)] + 5.0
-    ue_xy = cells[rng.choice(len(cells), size=30, replace=False)]
-    return field, classify_many(bs_xy, field, math.pi / 6, 0.8), bs_xy, ue_xy
+def lattice_ring(r):
+    """Integer points at distance exactly r from the origin."""
+    return np.array([(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
+                     if x * x + y * y == r * r], dtype=float)
 
 
-@pytest.mark.parametrize("screen", [1, 4, 16])
-def test_lattice_ties_at_round_boundary_match_reference(screen, monkeypatch):
-    # 16 is the engine's own first round; 1 and 4 put the tied boundary
-    # among the nearest BSs, where the winners usually are
-    monkeypatch.setattr(association, "_SCREEN", screen)
-    boundary_ties = 0
-    for seed in range(5):
-        field, states, bs_xy, ue_xy = lattice_scene(seed)
-        d2 = np.sort(((ue_xy[:, None, :] - bs_xy[None, :, :]) ** 2).sum(axis=2),
-                     axis=1)
-        boundary_ties += int(np.sum(d2[:, screen - 1] == d2[:, screen]))
-        for use_cones in (True, False):
-            got = associate_all(ue_xy, states, field, use_cones=use_cones)
-            ref_serving, ref_path = reference_associate(ue_xy, states, field,
-                                                        use_cones=use_cones)
-            assert np.array_equal(got.serving, ref_serving)
-            if use_cones:
-                assert np.array_equal(got.path, ref_path)
-    # some UEs do have BSs tied at the round boundary on both sides of it
-    assert boundary_ties > 0
+# Rings of lattice points around a UE at the origin, and how many BSs of
+# each family sit on each ring. The cumulative counts 3, 6, 10, 19, 35 of
+# one family and 6, 12, 20, 38, 70 of both fall strictly inside rings, so
+# every rank-block boundary of the walk (2, 4, 8, 16, 32, 64) splits BSs
+# at exactly the same distance.
+RINGS = (5, 10, 13, 25, 65)
+RING_SIZES = (3, 3, 4, 9, 16)
+RING_UNIT = 3.0  # [m]
+
+
+def ring_scene(rng, buildings, depth, n_extra_ue=10):
+    """Omni BSs on the upper halves of the rings, dedicated BSs on the
+    lower halves with cones turned away from the origin, indices shuffled.
+
+    A 1 m kiosk halfway to a BS blocks it from the origin: every BS of the
+    `depth` innermost rings gets one, and so does part of the next ring,
+    which keeps at least two BSs of each family in the clear. Returns the
+    field, the states and the UEs: the origin first, then random ones.
+    """
+    omni, dedicated, kiosks = [], [], []
+    for ring, (r, m) in enumerate(zip(RINGS, RING_SIZES)):
+        pts = lattice_ring(r) * RING_UNIT
+        for half, out in ((pts[pts[:, 1] > 0], omni),
+                          (pts[pts[:, 1] < 0], dedicated)):
+            picked = half[rng.choice(len(half), size=m, replace=False)]
+            out.extend(picked)
+            if ring < depth:
+                kiosks.extend(picked)
+            elif ring == depth:
+                kiosks.extend(picked[:rng.integers(0, m - 1)])
+    field = BuildingField(list(buildings) + [
+        Building((x / 2.0, y / 2.0), 1.0, 1.0, 0.0) for x, y in kiosks])
+    bs_xy = np.array(omni + dedicated)
+    perm = rng.permutation(len(bs_xy))
+    bs_xy = bs_xy[perm]
+    states = []
+    for j, (x, y) in enumerate(bs_xy):
+        if perm[j] < len(omni):
+            states.append(BsState(j, (x, y), BsRole.OBS, 0.0, 2.0 * math.pi,
+                                  None))
+        else:
+            states.append(BsState(j, (x, y), BsRole.DBS, math.atan2(y, x),
+                                  math.pi / 6, None))
+    extra = rng.uniform(-100.0, 100.0, size=(n_extra_ue, 2))
+    return field, states, np.vstack([np.zeros((1, 2)), extra])
+
+
+def assert_ties_on_every_block_boundary(states, use_cones):
+    """Each walk of the origin UE meets BSs tied across every boundary."""
+    bs_xy = np.array([s.position for s in states])
+    d2 = (bs_xy ** 2).sum(axis=1)
+    cone = _cone_mask(states, np.zeros((1, 2)))[0] if use_cones \
+        else np.ones(len(states), dtype=bool)
+    for walk in ((cone, ~cone) if use_cones else (cone,)):
+        d = np.sort(d2[walk])
+        k = association._FIRST_BLOCK
+        assert k < len(d)
+        while k < len(d):
+            assert d[k - 1] == d[k]
+            k *= 2
+
+
+def check_rules_against_reference(ue_xy, states, field, stats):
+    """Both rules against the literal scan; tallies how the origin UE won."""
+    bs_xy = np.array([s.position for s in states])
+    for use_cones in (True, False):
+        assert_ties_on_every_block_boundary(states, use_cones)
+        got = associate_all(ue_xy, states, field, use_cones=use_cones)
+        ref_serving, ref_path = reference_associate(ue_xy, states, field,
+                                                    use_cones=use_cones)
+        assert np.array_equal(got.serving, ref_serving)
+        if use_cones:
+            assert np.array_equal(got.path, ref_path)
+        s = got.serving[0]
+        if s < 0:
+            continue
+        stats["pilot" if got.path[0] == PATH_PILOT else "reference"] += 1
+        win_d2 = (bs_xy[s] ** 2).sum()
+        if win_d2 > (RING_UNIT * RINGS[0]) ** 2:
+            stats["past_first_ring"] += 1
+        # another BS of the same walk, LOS and just as near: a tie to break
+        same_walk = [j for j, st in enumerate(states)
+                     if not use_cones or (got.path[0] == PATH_REFERENCE)
+                     == in_discovery_cone(st, (0.0, 0.0))]
+        if any(j != s and (bs_xy[j] ** 2).sum() == win_d2
+               and los_between((0.0, 0.0), bs_xy[j], field)
+               for j in same_walk):
+            stats["tied_win"] += 1
+
+
+def random_buildings(rng, n_buildings, walled, span=100.0):
+    """Random 30 x 10 m rectangles; `walled` adds a long thin one just
+    above the origin that blocks every omni BS of a ring scene."""
+    buildings = [Building((float(x), float(y)), 30.0, 10.0, float(o))
+                 for (x, y), o in zip(rng.uniform(-span, span,
+                                                  size=(n_buildings, 2)),
+                                      rng.uniform(0.0, math.pi,
+                                                  size=n_buildings))]
+    if walled:
+        buildings.append(Building((0.0, 4.0), 1000.0, 2.0, 0.0))
+    return buildings
+
+
+def new_stats():
+    return {"reference": 0, "pilot": 0, "tied_win": 0, "past_first_ring": 0}
+
+
+@pytest.mark.parametrize("n_buildings", [1, 4, 16])
+def test_ring_ties_on_every_block_boundary_match_reference(n_buildings):
+    # the walled scenes send the origin UE down the pilot walk; the kiosk
+    # depth puts its winner on each of the first four rings in turn
+    stats = new_stats()
+    for depth in range(4):
+        for walled in (False, True):
+            rng = np.random.default_rng(10 * n_buildings + depth)
+            field, states, ue_xy = ring_scene(
+                rng, random_buildings(rng, n_buildings, walled), depth)
+            check_rules_against_reference(ue_xy, states, field, stats)
+    assert stats["reference"] > 0 and stats["pilot"] > 0
+    assert stats["tied_win"] > 0 and stats["past_first_ring"] > 0
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_full_engine_drops_with_two_bs_first_round_match_reference(
-        seed, monkeypatch):
-    # with two BSs in round 1 most UEs need round 2 in these 9-19 BS drops
-    monkeypatch.setattr(association, "_SCREEN", 2)
+def test_full_engine_drops_with_two_bs_first_round_match_reference(seed):
+    # the walk's first block holds each UE's two nearest BSs; these 9-19
+    # BS drops take most UEs past it. Ring BSs then go around the typical
+    # UE at the origin of the same field, behind kiosks `seed % 4` deep.
     for rule, use_cones in ((RULE_BUILDING_AWARE, True),
                             (RULE_MAX_RSRP, False)):
         drop = realize(ScenarioParams(beta=0.7), SimMode.FULL_GEOMETRY, seed,
@@ -147,6 +236,9 @@ def test_full_engine_drops_with_two_bs_first_round_match_reference(
         assert np.array_equal(drop.association.serving, ref_serving)
         if use_cones:
             assert np.array_equal(drop.association.path, ref_path)
+    field, states, ue_xy = ring_scene(np.random.default_rng(seed),
+                                      drop.field.buildings, seed % 4)
+    check_rules_against_reference(ue_xy, states, field, new_stats())
 
 
 def test_zero_bias_equals_plain_rsrp():

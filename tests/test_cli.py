@@ -11,8 +11,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from mmwlab import __version__
-from mmwlab.analytic import ANALYTIC_CSV_COLUMNS
+from mmwlab import __version__, cli
+from mmwlab.analytic import ANALYTIC_CSV_COLUMNS, QuadratureError
 from mmwlab.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                         SWEEP_CSV_COLUMNS, main)
 
@@ -241,12 +241,33 @@ def test_sweep_partial_failures_keep_exit_zero(tmp_path):
         assert r[header.index("coverage")] == ""
 
 
-def test_sweep_all_points_failing_exits_3(tmp_path):
+def test_sweep_all_points_failing_validation_exits_2(tmp_path):
+    # both points leave no open space, so every row fails validation,
+    # as each point would on its own
     path = tmp_path / "allbad.csv"
     code, _, _ = run(["sweep", "--key", "lambda_ell", "--start", "3400",
                       "--stop", "3600", "--steps", "2", "--engines",
                       "analytic", "--out", str(path)])
+    assert code == EXIT_CONFIG
+    _, header, rows = read_csv(path)
+    assert [r[header.index("status")] for r in rows] == ["error:ConfigError"] * 2
+
+
+def test_sweep_all_points_failing_with_a_numeric_error_exits_3(tmp_path,
+                                                               monkeypatch):
+    # the lambda_ell = 2000 row fails numerically, the 3500 row validation
+    def fail(*args, **kwargs):
+        raise QuadratureError("forced", 1.0)
+
+    monkeypatch.setattr(cli, "analytic_report", fail)
+    path = tmp_path / "mixed.csv"
+    code, _, _ = run(["sweep", "--key", "lambda_ell", "--start", "2000",
+                      "--stop", "3500", "--steps", "2", "--engines",
+                      "analytic", "--out", str(path)])
     assert code == EXIT_NUMERIC
+    _, header, rows = read_csv(path)
+    assert [r[header.index("status")] for r in rows] == [
+        "error:QuadratureError", "error:ConfigError"]
 
 
 @pytest.mark.parametrize("argv", [

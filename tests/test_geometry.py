@@ -25,7 +25,7 @@ from mmwlab.geometry import (
     sample_ppp,
 )
 from mmwlab.scenario import ScenarioParams
-from oracles import boundary_distances, los_between
+from oracles import boundary_distances, los_between, nearest_buildings, to_local
 
 
 def make_field(rng, n=12, span=220.0, d_l=30.0, d_w=10.0):
@@ -138,7 +138,8 @@ def test_empty_field_classifies_far_and_raises_on_distances():
 def test_boundary_distaccording_to_manual_rectangle():
     field = BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
     pts = np.array([[20.0, 0.0], [0.0, 9.0], [18.0, 9.0], [1.0, 2.0]])
-    for dist, indoor in (boundary_distances(field, pts), field._distance(pts, 0)):
+    for dist, indoor in (boundary_distances(field, pts),
+                         field._pair_distance(pts, np.zeros(4, dtype=int))):
         assert dist == pytest.approx([5.0, 4.0, math.hypot(3.0, 4.0), 0.0])
         assert list(indoor) == [False, False, False, True]
 
@@ -158,6 +159,96 @@ def test_near_indoor_masks_match_boundary_distances():
     assert [classify_point(p, field, 2.0) for p in pts] == list(want)
 
 
+@pytest.mark.parametrize("lambda_ell", [100.0, 400.0, 1000.0])
+def test_batched_kernels_match_oracles_on_random_fields(lambda_ell):
+    # a window holding about 60 rectangles at each density
+    half = 0.5e3 * math.sqrt(60.0 / lambda_ell)
+    rng = np.random.default_rng(int(lambda_ell))
+    field = sample_buildings(Window(half, 0.0),
+                             ScenarioParams(lambda_ell=lambda_ell), rng)
+    # points beyond the field too, so the nearest-building search widens
+    pts = np.vstack([rng.uniform(-1.2 * half, 1.2 * half, size=(2000, 2)),
+                     rng.uniform(-6.0 * half, 6.0 * half, size=(50, 2))])
+    near, indoor = field.near_indoor_masks(pts, 2.0)
+    dist, indoor_ref = boundary_distances(field, pts)
+    assert np.array_equal(indoor, indoor_ref)
+    assert np.array_equal(near, dist <= 2.0)
+    assert indoor.any() and (near & ~indoor).any()
+    assert np.array_equal(field.nearest_building_many(pts),
+                          nearest_buildings(field, pts))
+    # more segments than one screening block, of every length
+    ps = rng.uniform(-half, half, size=(300, 2))
+    qs = ps + rng.uniform(-half, half, size=(300, 2)) * rng.random((300, 1))
+    flags = los_pairs(ps, qs, field)
+    assert np.array_equal(flags, [los_between(p, q, field)
+                                  for p, q in zip(ps, qs)])
+    assert flags.any() and not flags.all()
+
+
+def corner_field():
+    """Axis-aligned rectangles with exactly representable edges: a 30 x 10
+    one on the origin and a copy 40 m to its right."""
+    return BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0),
+                          Building((40.0, 0.0), 30.0, 10.0, 0.0)])
+
+
+def test_masks_and_nearest_on_edges_and_corners():
+    field = corner_field()
+    pts = np.array([
+        [15.0, 0.0], [15.0, 5.0], [-15.0, -5.0], [0.0, 5.0],  # on the boundary
+        [0.0, 7.0], [17.0, 0.0], [15.0, 7.0],                  # exactly d_c off
+        [0.0, 7.5], [20.0, 0.0], [20.0, 8.0],                  # past d_c
+    ])
+    near, indoor = field.near_indoor_masks(pts, 2.0)
+    dist, indoor_ref = boundary_distances(field, pts)
+    assert list(indoor) == [True] * 4 + [False] * 6
+    assert list(near) == [True] * 7 + [False] * 3
+    assert np.array_equal(indoor, indoor_ref)
+    assert np.array_equal(near, dist <= 2.0)
+    # (20, 0) and (20, 8) lie halfway between the two rectangles
+    want = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert list(field.nearest_building_many(pts)) == want
+    assert list(nearest_buildings(field, pts)) == want
+
+
+def test_nearest_building_ties_go_to_the_smaller_index():
+    field = corner_field()
+    swapped = BuildingField(field.buildings[::-1])
+    # on the symmetry line x = 20, near and far away
+    pts = np.array([[20.0, 0.0], [20.0, -30.0], [20.0, 900.0],
+                    [20.0, -4000.0]])
+    for f in (field, swapped):
+        assert list(f.nearest_building_many(pts)) == [0, 0, 0, 0]
+        assert list(nearest_buildings(f, pts)) == [0, 0, 0, 0]
+    # off the line the nearer rectangle wins in either order
+    assert field.nearest_building((19.0, 300.0)) == 0
+    assert swapped.nearest_building((19.0, 300.0)) == 1
+
+
+def test_los_pairs_endpoint_contact_and_grazing_across_blocks():
+    field = corner_field()
+    special = np.array([
+        # (p, q, LOS)
+        [15.0, 0.0, 22.0, 0.0, 1],     # starts on an edge, leaves it
+        [15.0, 5.0, 22.0, 20.0, 1],    # starts on a corner, leaves it
+        [30.0, -20.0, 25.0, -5.0, 1],  # ends on the corner of the right one
+        [-20.0, 5.0, 20.0, 5.0, 0],    # runs along the top edge
+        [20.0, 10.0, 10.0, 0.0, 0],    # passes through the corner (15, 5)
+        [18.0, 0.0, 22.0, 0.0, 1],     # in the gap between the two
+        [-20.0, 6.0, 60.0, 6.0, 1],    # 1 m above both
+        [-20.0, 0.0, 60.0, 0.0, 0],    # through both
+    ])
+    rng = np.random.default_rng(9)
+    filler = np.hstack([rng.uniform(-40.0, 80.0, size=(250, 4)),
+                        np.full((250, 1), -1.0)])
+    # the special segments straddle the end of the first 256-segment block
+    rows = np.vstack([filler, special, filler[:20]])
+    flags = los_pairs(rows[:, :2], rows[:, 2:4], field)
+    assert list(flags[250:258]) == [bool(x) for x in special[:, 4]]
+    assert np.array_equal(flags, [los_between(r[:2], r[2:4], field)
+                                  for r in rows])
+
+
 
 # ---------------------------------------------------------------------------
 # Line of sight
@@ -168,7 +259,7 @@ def _brute_blocked(p, q, field, n_steps=4000):
     ts = np.linspace(0.0, 1.0, n_steps)[1:-1]
     pts = p[None, :] * (1 - ts[:, None]) + q[None, :] * ts[:, None]
     for i in range(len(field)):
-        u, v = field.to_local(pts, i)
+        u, v = to_local(field, pts, i)
         if np.any((np.abs(u) < field.half_l[i] - 1e-9)
                   & (np.abs(v) < field.half_w[i] - 1e-9)):
             return True
