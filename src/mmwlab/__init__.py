@@ -14,12 +14,11 @@ from .analytic import (AnalyticReport, DomainError, InfiniteLosDistance,
                        effective_mainlobe_radius, los_distance, mean_load_far,
                        mean_load_near, noise_power_dbm, optimal_bias_coverage,
                        optimal_bias_rate, ue_densities)
-from .association import (Association, BsRole, BsState, associate_all,
-                          classify_bs, classify_many, schedule)
+from .association import (Association, BsTable, associate_all, classify_many,
+                          schedule)
 from .geometry import (Building, BuildingField, EmptyFieldError, RegionClass,
-                       Wall, Window, classify_point, discovery_angle,
-                       facing_wall, los_pairs, los_to_many, sample_buildings,
-                       sample_ppp)
+                       Window, classify_point, los_pairs, los_to_many,
+                       sample_buildings, sample_ppp)
 from .scenario import (PRESETS, CityPreset, ConfigError, ScenarioParams,
                        ValidationOutcome, load_config, params_for_city,
                        parse_config, preset, validate)
@@ -29,15 +28,14 @@ from .simulate import (DropSample, EstimateSummary, MetricStats, SimMode,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticReport", "Association", "BsRole", "BsState", "Building",
+    "AnalyticReport", "Association", "BsTable", "Building",
     "BuildingField", "CityPreset", "ConfigError", "DomainError",
     "DropSample", "EmptyFieldError", "EstimateSummary", "MetricStats",
     "InfiniteLosDistance", "PRESETS", "QuadratureError", "RegionClass",
-    "ScenarioParams", "SimMode", "ValidationOutcome", "Wall", "Window",
-    "analytic_report", "associate_all", "average_rate", "classify_bs",
+    "ScenarioParams", "SimMode", "ValidationOutcome", "Window",
+    "analytic_report", "associate_all", "average_rate",
     "classify_many", "classify_point", "coverage", "coverage_far",
-    "coverage_near", "discovery_angle", "estimate",
-    "effective_mainlobe_radius", "facing_wall", "load_config",
+    "coverage_near", "estimate", "effective_mainlobe_radius", "load_config",
     "los_distance", "los_pairs", "los_to_many", "mean_load_far",
     "mean_load_near", "noise_power_dbm", "optimal_bias_coverage",
     "optimal_bias_rate", "params_for_city", "parse_config", "preset",

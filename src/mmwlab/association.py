@@ -10,18 +10,21 @@ both picks are the nearest eligible LOS BS, which `associate_all` finds
 by walking each UE's BSs nearest-first in rank blocks of doubling width:
 first the BSs whose cone holds the UE, then the others, only for the UEs
 that no cone BS reaches.
+
+The BSs are one table held as arrays: positions in `bs_xy`, and boresight
+and discovery range in a `BsTable` with the same rows. `classify_many`
+fills the table in one batched pass; a BS is dedicated when its range is
+below 2*pi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (BuildingField, Wall, angular_offset, discovery_angle,
-                       facing_wall, los_pairs)
+from .geometry import BuildingField, angular_offset, los_pairs
 
 PATH_REFERENCE = 0   # discovered via broadcast reference signal
 PATH_PILOT = 1       # fallback: BS heard the UE's reverse pilot
@@ -30,19 +33,16 @@ PATH_NONE = -1       # uncovered
 _FIRST_BLOCK = 2  # BSs per UE in the first block of the nearest-first walk
 
 
-class BsRole(Enum):
-    OBS = "omni"       # omni-directional discovery
-    DBS = "dedicated"  # discovery cone locked onto a wall
-
-
 @dataclass(frozen=True)
-class BsState:
-    index: int
-    position: tuple[float, float]
-    role: BsRole
-    boresight: float         # [rad], toward the wall midpoint for DBS
-    discovery_range: float   # [rad], full cone width (2*pi for OBS)
-    wall: Wall | None        # facing wall of the nearest building
+class BsTable:
+    """Discovery cone of each BS, by row of the BS position array."""
+
+    boresight: np.ndarray        # [rad], toward the facing wall's midpoint
+    discovery_range: np.ndarray  # [rad], full cone width; 2*pi when omni
+
+    @property
+    def dedicated(self) -> np.ndarray:
+        return self.discovery_range < 2.0 * math.pi
 
 
 @dataclass
@@ -62,52 +62,40 @@ class Association:
 
 
 def classify_many(bs_xy: np.ndarray, field: BuildingField, theta: float,
-                  beta: float) -> list[BsState]:
-    """Role, boresight and discovery range of each BS, indexed by row.
+                  beta: float) -> BsTable:
+    """Boresight and discovery range of each BS, by row of bs_xy.
 
     With no buildings every BS stays omni-directional. Otherwise a BS
-    looks at the facing wall of its nearest building and becomes dedicated
-    when theta <= the angle that wall subtends once contracted by beta;
-    beta=0 collapses the wall, so the scheme is off.
+    looks at the facing wall of its nearest building, contracted by beta
+    (`BuildingField.facing_walls`, batched over every BS), and becomes
+    dedicated when theta <= the angle the contracted wall subtends;
+    beta=0 collapses the wall, so the scheme is off. The boresight
+    points at the wall's midpoint, for omni BSs as well.
     """
-    bs_xy = np.atleast_2d(np.asarray(bs_xy, dtype=float))
+    bs_xy = np.asarray(bs_xy, dtype=float).reshape(-1, 2)
+    n = len(bs_xy)
     if len(field) == 0:
-        return [BsState(i, (float(x), float(y)), BsRole.OBS, 0.0,
-                        2.0 * math.pi, None)
-                for i, (x, y) in enumerate(bs_xy)]
-    states = []
-    for i, owner in enumerate(field.nearest_building_many(bs_xy)):
-        pos = (float(bs_xy[i, 0]), float(bs_xy[i, 1]))
-        w = facing_wall(pos, field, int(owner))
-        span = discovery_angle(pos, w, beta)
-        mx, my = w.midpoint
-        bore = math.atan2(my - pos[1], mx - pos[0])
-        if theta <= span:
-            states.append(BsState(i, pos, BsRole.DBS, bore, span, w))
-        else:
-            states.append(BsState(i, pos, BsRole.OBS, bore, 2.0 * math.pi, w))
-    return states
+        return BsTable(np.zeros(n), np.full(n, 2.0 * math.pi))
+    _, ends = field.facing_walls(bs_xy, field.nearest_building_many(bs_xy),
+                                 beta)
+    ang = np.arctan2(ends[..., 1] - bs_xy[:, 1], ends[..., 0] - bs_xy[:, 0])
+    span = angular_offset(ang[0], ang[1])
+    return BsTable(ang[2], np.where(theta <= span, span, 2.0 * math.pi))
 
 
-def classify_bs(position, field: BuildingField, theta: float, beta: float,
-                index: int = 0) -> BsState:
-    """classify_many on one position, carrying `index`."""
-    return replace(classify_many([position], field, theta, beta)[0],
-                   index=index)
-
-
-def _cone_mask(bs_states: list[BsState], ue_xy: np.ndarray) -> np.ndarray:
+def _cone_mask(ue_xy: np.ndarray, bs_xy: np.ndarray,
+               bs_table: BsTable) -> np.ndarray:
     """(n_ue, n_bs) mask: UE inside that BS's discovery cone.
 
-    The cone edge is inclusive; omni BSs accept everything.
+    One broadcast over the dedicated columns; the cone edge is inclusive
+    and omni columns accept everything.
     """
-    n_ue, n_bs = len(ue_xy), len(bs_states)
-    mask = np.ones((n_ue, n_bs), dtype=bool)
-    for j, bs in enumerate(bs_states):
-        if bs.discovery_range >= 2.0 * math.pi:
-            continue
-        ang = np.arctan2(ue_xy[:, 1] - bs.position[1], ue_xy[:, 0] - bs.position[0])
-        mask[:, j] = angular_offset(ang, bs.boresight) <= bs.discovery_range / 2.0
+    mask = np.ones((len(ue_xy), len(bs_xy)), dtype=bool)
+    cols = np.flatnonzero(bs_table.dedicated)
+    ang = np.arctan2(ue_xy[:, 1, None] - bs_xy[cols, 1],
+                     ue_xy[:, 0, None] - bs_xy[cols, 0])
+    mask[:, cols] = (angular_offset(ang, bs_table.boresight[cols])
+                     <= bs_table.discovery_range[cols] / 2.0)
     return mask
 
 
@@ -159,7 +147,7 @@ def _walk(d2: np.ndarray, ues: np.ndarray, ue_xy: np.ndarray,
     return win
 
 
-def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
+def associate_all(ue_xy: np.ndarray, bs_xy: np.ndarray, bs_table: BsTable,
                   field: BuildingField, use_cones: bool = True) -> Association:
     """Associate every UE. Deterministic: no randomness, ties by BS index.
 
@@ -168,20 +156,21 @@ def associate_all(ue_xy: np.ndarray, bs_states: list[BsState],
     and stops at the first LOS one. The reference walk takes the BSs
     whose cone holds the UE; only UEs it leaves without a winner walk the
     other BSs, whose nearest LOS one then hears their pilot (every cone
-    BS of theirs is blocked). `use_cones=False` is the plain max-RSRP
-    baseline (every BS discoverable, no pilot phase).
+    BS of theirs is blocked). Row j of `bs_xy` and of `bs_table` is BS j.
+    `use_cones=False` is the plain max-RSRP baseline (every BS
+    discoverable, no pilot phase; the table is not read).
     """
     ue_xy = np.atleast_2d(np.asarray(ue_xy, dtype=float))
-    n_ue, n_bs = len(ue_xy), len(bs_states)
+    bs_xy = np.asarray(bs_xy, dtype=float).reshape(-1, 2)
+    n_ue, n_bs = len(ue_xy), len(bs_xy)
     serving = np.full(n_ue, PATH_NONE, dtype=int)
     path = np.full(n_ue, PATH_NONE, dtype=np.int8)
     if n_ue == 0 or n_bs == 0:
         return Association(serving, path)
 
-    bs_xy = np.array([s.position for s in bs_states])
     d2 = _sq_distances(ue_xy, bs_xy)
     if use_cones:
-        cone = _cone_mask(bs_states, ue_xy)
+        cone = _cone_mask(ue_xy, bs_xy, bs_table)
         d2[~cone] = np.inf
     ues = np.arange(n_ue)
     win = _walk(d2, ues, ue_xy, bs_xy, field)

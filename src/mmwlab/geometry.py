@@ -17,6 +17,8 @@ import numpy as np
 from .scenario import _PER_KM2_TO_M2
 
 _LOS_BLOCK = 256  # segments screened and clipped against every building at once
+# outward normal of wall 0..3 in the building's frame
+_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 
 
 class EmptyFieldError(ValueError):
@@ -51,53 +53,11 @@ class Window:
 
 
 @dataclass(frozen=True)
-class Wall:
-    """One side of a building rectangle, with its owner indices."""
-
-    v1: tuple[float, float]
-    v2: tuple[float, float]
-    owner: int  # building index within the field
-    k: int      # wall index within the building, 0..3
-
-    @property
-    def midpoint(self) -> tuple[float, float]:
-        return ((self.v1[0] + self.v2[0]) / 2.0, (self.v1[1] + self.v2[1]) / 2.0)
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.v2[0] - self.v1[0], self.v2[1] - self.v1[1])
-
-    @property
-    def outward_normal(self) -> tuple[float, float]:
-        # Corners are stored counterclockwise, so the outward normal is the
-        # edge direction rotated by -90 degrees.
-        dx = self.v2[0] - self.v1[0]
-        dy = self.v2[1] - self.v1[1]
-        n = math.hypot(dx, dy)
-        return (dy / n, -dx / n)
-
-
-@dataclass(frozen=True)
 class Building:
     center: tuple[float, float]
     length: float       # [m], along the local x axis
     width: float        # [m], along the local y axis
     orientation: float  # [rad], in [0, pi)
-
-    def corners(self) -> np.ndarray:
-        """4x2 world corners, counterclockwise from the local (-L/2, -W/2)."""
-        hl, hw = self.length / 2.0, self.width / 2.0
-        local = np.array([[-hl, -hw], [hl, -hw], [hl, hw], [-hl, hw]])
-        c, s = math.cos(self.orientation), math.sin(self.orientation)
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.asarray(self.center)
-
-    def walls(self, owner: int = 0) -> list[Wall]:
-        cs = self.corners()
-        return [
-            Wall(tuple(cs[k]), tuple(cs[(k + 1) % 4]), owner=owner, k=k)
-            for k in range(4)
-        ]
 
 
 class BuildingField:
@@ -135,6 +95,43 @@ class BuildingField:
         du = np.maximum(au - hl, 0.0)
         dv = np.maximum(av - hw, 0.0)
         return np.hypot(du, dv), (au <= hl) & (av <= hw)
+
+    def facing_walls(self, points: np.ndarray, owners: np.ndarray,
+                     beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Facing wall of building owners[k] as seen from points[k].
+
+        Wall j of a rectangle runs counterclockwise from its local corner
+        (-L/2, -W/2) and faces -y, +x, +y, -x for j = 0..3. With
+        du = |u| - L/2 and dv = |v| - W/2 in the owner's frame, the point
+        is in the outward half-plane of one wall when only one of them is
+        positive, and of the two walls meeting at a corner when both are.
+        The corner is then the nearest point of both walls, so they tie
+        exactly and the smaller index wins. A point inside or on the
+        rectangle faces no wall and takes the nearest one, ties again to
+        the smaller index.
+
+        Returns the wall index and a (3, n, 2) array of world coordinates:
+        the two ends of the wall contracted about its midpoint to a
+        fraction beta of its length, then the midpoint.
+        """
+        u, v = self._local(points, owners)
+        hl, hw = self.half_l[owners], self.half_w[owners]
+        du = np.abs(u) - hl
+        dv = np.abs(v) - hw
+        across = np.where(v > 0.0, 2, 0)  # the wall a point beyond W/2 faces
+        along = np.where(u < 0.0, 3, 1)   # the wall a point beyond L/2 faces
+        wall = np.where(dv > du, across, along)
+        tie = (du == dv) | ((du > 0.0) & (dv > 0.0))
+        wall = np.where(tie, np.minimum(across, along), wall)
+        nu, nv = _NORMALS[wall].T
+        mu, mv = nu * hl, nv * hw
+        tu, tv = -nv * beta * hl, nu * beta * hw  # half the contracted wall
+        lu = np.stack([mu - tu, mu + tu, mu])
+        lv = np.stack([mv - tv, mv + tv, mv])
+        cos, sin = self.cos_o[owners], self.sin_o[owners]
+        x = self.centers[owners, 0] + lu * cos - lv * sin
+        y = self.centers[owners, 1] + lu * sin + lv * cos
+        return wall, np.stack([x, y], axis=-1)
 
     def nearest_building(self, point) -> int:
         """Index of the rectangle nearest to `point` (ties: smaller index)."""
@@ -327,69 +324,8 @@ def los_to_many(p, qs: np.ndarray, field: BuildingField) -> np.ndarray:
     return los_pairs(p, qs, field)
 
 
-def _point_segment_distance(p, a, b) -> float:
-    px, py = p
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    ll = dx * dx + dy * dy
-    if ll == 0.0:
-        return math.hypot(px - ax, py - ay)
-    s = ((px - ax) * dx + (py - ay) * dy) / ll
-    s = min(1.0, max(0.0, s))
-    return math.hypot(px - (ax + s * dx), py - (ay + s * dy))
-
-
-def facing_wall(point, field: BuildingField, owner: int) -> Wall:
-    """Facing wall of building `owner` as seen from `point`.
-
-    Among the walls whose outward half-plane contains the point, picks the
-    smallest point-to-segment distance; ties go to the smaller wall index.
-    `owner` is normally `field.nearest_building(point)`.
-    """
-    px, py = float(point[0]), float(point[1])
-    walls = field.buildings[owner].walls(owner=owner)
-    best: Wall | None = None
-    best_d = math.inf
-    for wall in walls:
-        mx, my = wall.midpoint
-        nx, ny = wall.outward_normal
-        if (px - mx) * nx + (py - my) * ny <= 0.0:
-            continue  # point is behind this wall
-        d = _point_segment_distance((px, py), wall.v1, wall.v2)
-        if d < best_d:
-            best, best_d = wall, d
-    if best is None:
-        # Point is on a boundary line extension; fall back to raw distance.
-        dists = [_point_segment_distance((px, py), w.v1, w.v2) for w in walls]
-        best = walls[int(np.argmin(dists))]
-    return best
-
-
 def angular_offset(a, b):
     """Unsigned angle [rad] between directions a and b, in [0, pi];
     elementwise over arrays."""
     off = np.abs(a - b) % (2.0 * math.pi)
     return np.where(off > math.pi, 2.0 * math.pi - off, off)
-
-
-def discovery_angle(bs, wall: Wall, beta: float) -> float:
-    """Angle subtended at `bs` by the beta-contracted wall.
-
-    The wall endpoints are pulled toward each other: with bias beta the
-    effective endpoints are ((1-beta)*v2 + (1+beta)*v1)/2 and the mirror
-    image. beta=0 collapses the wall to its midpoint (angle 0); beta=1
-    keeps the full wall. Uses two-argument arctangents so every quadrant
-    is handled; the result lies in [0, pi].
-    """
-    bx, by = float(bs[0]), float(bs[1])
-    x1, y1 = wall.v1
-    x2, y2 = wall.v2
-    p1x = ((1.0 - beta) * x2 + (1.0 + beta) * x1) / 2.0
-    p1y = ((1.0 - beta) * y2 + (1.0 + beta) * y1) / 2.0
-    p2x = ((1.0 - beta) * x1 + (1.0 + beta) * x2) / 2.0
-    p2y = ((1.0 - beta) * y1 + (1.0 + beta) * y2) / 2.0
-    a1 = math.atan2(p1y - by, p1x - bx)
-    a2 = math.atan2(p2y - by, p2x - bx)
-    d = abs(a1 - a2)
-    return 2.0 * math.pi - d if d > math.pi else d

@@ -29,7 +29,7 @@ import numpy as np
 from .analytic import (DomainError, effective_mainlobe_radius, los_distance,
                        noise_power_dbm, region1_dbs_fraction, ring_radii,
                        ue_densities)
-from .association import (PATH_NONE, PATH_REFERENCE, Association, BsState,
+from .association import (PATH_NONE, PATH_REFERENCE, Association, BsTable,
                           associate_all, classify_many, schedule)
 from .geometry import (Building, BuildingField, RegionClass, Window,
                        angular_offset, classify_point, los_to_many,
@@ -51,7 +51,7 @@ class Drop:
 
     field: BuildingField
     bs_xy: np.ndarray
-    bs_states: list[BsState]
+    bs_table: BsTable
     ue_xy: np.ndarray
     association: Association
     fading: np.ndarray
@@ -269,8 +269,8 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
                        cand_n[near_n & ~ind_n],
                        cand_r[~near_r & ~ind_r]])
 
-    bs_states = classify_many(bs_xy, field, params.theta, params.beta)
-    assoc = associate_all(ue_xy, bs_states, field,
+    bs_table = classify_many(bs_xy, field, params.theta, params.beta)
+    assoc = associate_all(ue_xy, bs_xy, bs_table, field,
                           use_cones=association_rule == RULE_BUILDING_AWARE)
 
     fading = rng.exponential(size=n_bs)
@@ -294,7 +294,7 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
 
     drop = None
     if keep_drop:
-        drop = Drop(field=field, bs_xy=bs_xy, bs_states=bs_states,
+        drop = Drop(field=field, bs_xy=bs_xy, bs_table=bs_table,
                     ue_xy=ue_xy, association=assoc, fading=fading,
                     beam_dir=beam_dir, active=active, los_to_origin=los0)
 

@@ -88,18 +88,92 @@ def los_between(p, q, field):
                    for i in range(len(field)))
 
 
-def in_discovery_cone(bs, ue):
-    """Whether the UE direction falls inside the BS's discovery cone.
+def walls(building):
+    """The four walls of a Building as (start, end) pairs of world
+    corners, counterclockwise from its local corner (-L/2, -W/2)."""
+    hl, hw = building.length / 2.0, building.width / 2.0
+    c, s = math.cos(building.orientation), math.sin(building.orientation)
+    cx, cy = building.center
+    cs = [(cx + x * c - y * s, cy + x * s + y * c)
+          for x, y in ((-hl, -hw), (hl, -hw), (hl, hw), (-hl, hw))]
+    return [(cs[k], cs[k - 3]) for k in range(4)]
+
+
+def point_segment_distance(p, a, b):
+    """Euclidean distance from point p to the segment from a to b."""
+    px, py = p
+    ax, ay = a
+    bx, by = b
+    dx, dy = bx - ax, by - ay
+    ll = dx * dx + dy * dy
+    if ll == 0.0:
+        return math.hypot(px - ax, py - ay)
+    s = min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / ll))
+    return math.hypot(px - (ax + s * dx), py - (ay + s * dy))
+
+
+def facing_wall(point, building):
+    """Index of the wall of `building` that faces `point`.
+
+    Among the walls whose outward half-plane holds the point strictly,
+    the nearest wins; a point inside or on the rectangle faces none, and
+    then every wall competes. Distances within 1e-9 m tie, and ties go
+    to the smaller index.
+    """
+    px, py = float(point[0]), float(point[1])
+    ws = walls(building)
+
+    def faces(k):
+        (ax, ay), (bx, by) = ws[k]
+        # corners run counterclockwise: the outward normal is (dy, -dx)
+        return ((px - (ax + bx) / 2.0) * (by - ay)
+                - (py - (ay + by) / 2.0) * (bx - ax)) > 0.0
+
+    ks = [k for k in range(4) if faces(k)] or list(range(4))
+    dist = [point_segment_distance((px, py), *ws[k]) for k in ks]
+    return next(k for k, d in zip(ks, dist) if d <= min(dist) + 1e-9)
+
+
+def discovery_angle(bs, wall, beta):
+    """Angle subtended at `bs` by the (start, end) wall contracted about
+    its midpoint to a fraction beta of its length, in [0, pi]."""
+    bx, by = float(bs[0]), float(bs[1])
+    (x1, y1), (x2, y2) = wall
+    p1x = ((1.0 - beta) * x2 + (1.0 + beta) * x1) / 2.0
+    p1y = ((1.0 - beta) * y2 + (1.0 + beta) * y1) / 2.0
+    p2x = ((1.0 - beta) * x1 + (1.0 + beta) * x2) / 2.0
+    p2y = ((1.0 - beta) * y1 + (1.0 + beta) * y2) / 2.0
+    d = abs(math.atan2(p1y - by, p1x - bx) - math.atan2(p2y - by, p2x - bx))
+    return 2.0 * math.pi - d if d > math.pi else d
+
+
+def classify_bs(position, field, theta, beta):
+    """(boresight, discovery range) of one BS: the facing wall of its
+    nearest building, contracted by beta, decides dedicated (range =
+    the angle it subtends, at least theta) or omni (range 2*pi)."""
+    if len(field) == 0:
+        return 0.0, 2.0 * math.pi
+    b = field.buildings[int(nearest_buildings(field, position)[0])]
+    wall = walls(b)[facing_wall(position, b)]
+    (x1, y1), (x2, y2) = wall
+    bore = math.atan2((y1 + y2) / 2.0 - position[1],
+                      (x1 + x2) / 2.0 - position[0])
+    span = discovery_angle(position, wall, beta)
+    return bore, span if theta <= span else 2.0 * math.pi
+
+
+def in_discovery_cone(bs, boresight, discovery_range, ue):
+    """Whether the UE direction falls inside the cone of a BS at `bs`.
 
     The cone edge is inclusive; omni BSs accept everything.
     """
-    if bs.discovery_range >= 2.0 * math.pi:
+    if discovery_range >= 2.0 * math.pi:
         return True
-    ang = math.atan2(ue[1] - bs.position[1], ue[0] - bs.position[0])
-    off = abs(ang - bs.boresight) % (2.0 * math.pi)
+    ang = math.atan2(ue[1] - bs[1], ue[0] - bs[0])
+    off = abs(ang - boresight) % (2.0 * math.pi)
     if off > math.pi:
         off = 2.0 * math.pi - off
-    return off <= bs.discovery_range / 2.0
+    return off <= discovery_range / 2.0
 
 
 def band_integral(lo, hi, half_alpha):

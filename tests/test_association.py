@@ -17,18 +17,16 @@ from mmwlab.association import (
     PATH_PILOT,
     PATH_REFERENCE,
     Association,
-    BsRole,
-    BsState,
+    BsTable,
     _cone_mask,
     associate_all,
-    classify_bs,
     classify_many,
     schedule,
 )
 from mmwlab.geometry import Building, BuildingField, Window
 from mmwlab.scenario import ScenarioParams
 from mmwlab.simulate import RULE_BUILDING_AWARE, RULE_MAX_RSRP, SimMode, realize
-from oracles import in_discovery_cone, los_between
+from oracles import classify_bs, in_discovery_cone, los_between
 
 
 def random_scene(seed, n_buildings=14, n_bs=40, n_ue=70, span=200.0,
@@ -42,24 +40,28 @@ def random_scene(seed, n_buildings=14, n_bs=40, n_ue=70, span=200.0,
     bs_xy = rng.uniform(-span, span, size=(n_bs, 2))
     ue_xy = rng.uniform(-span, span, size=(n_ue, 2))
     params = ScenarioParams().with_(theta=theta, beta=beta)
-    states = classify_many(bs_xy, field, theta, beta)
-    return field, states, bs_xy, ue_xy, params
+    table = classify_many(bs_xy, field, theta, beta)
+    return field, table, bs_xy, ue_xy, params
 
 
-def reference_associate(ue_xy, bs_states, field, use_cones=True):
+def cone_holds(bs_xy, table, j, ue):
+    return in_discovery_cone(bs_xy[j], table.boresight[j],
+                             table.discovery_range[j], ue)
+
+
+def reference_associate(ue_xy, bs_xy, table, field, use_cones=True):
     """Literal per-UE scan in distance order (ties: lower BS index)."""
-    n_ue, n_bs = len(ue_xy), len(bs_states)
+    n_ue, n_bs = len(ue_xy), len(bs_xy)
     serving = np.full(n_ue, PATH_NONE, dtype=int)
     path = np.full(n_ue, PATH_NONE, dtype=np.int8)
     for i in range(n_ue):
         ue = ue_xy[i]
-        d2 = [(ue[0] - b.position[0]) ** 2 + (ue[1] - b.position[1]) ** 2
-              for b in bs_states]
+        d2 = [(ue[0] - x) ** 2 + (ue[1] - y) ** 2 for x, y in bs_xy]
         order = sorted(range(n_bs), key=lambda j: (d2[j], j))
-        los = {j: los_between(ue, bs_states[j].position, field) for j in order}
+        los = {j: los_between(ue, bs_xy[j], field) for j in order}
         hit = next((j for j in order
                     if los[j] and (not use_cones
-                                   or in_discovery_cone(bs_states[j], ue))), None)
+                                   or cone_holds(bs_xy, table, j, ue))), None)
         if hit is not None:
             serving[i] = hit
             path[i] = PATH_REFERENCE if use_cones else PATH_PILOT
@@ -74,9 +76,9 @@ def reference_associate(ue_xy, bs_states, field, use_cones=True):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_fast_engine_matches_reference(seed):
-    field, states, _, ue_xy, params = random_scene(seed)
-    got = associate_all(ue_xy, states, field)
-    ref_serving, ref_path = reference_associate(ue_xy, states, field)
+    field, table, bs_xy, ue_xy, params = random_scene(seed)
+    got = associate_all(ue_xy, bs_xy, table, field)
+    ref_serving, ref_path = reference_associate(ue_xy, bs_xy, table, field)
     assert np.array_equal(got.serving, ref_serving)
     # reference marks every cone hit as the reference path; the engine
     # does the same thing, so paths must agree wherever someone is served
@@ -85,9 +87,10 @@ def test_fast_engine_matches_reference(seed):
 
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_fast_engine_matches_reference_without_cones(seed):
-    field, states, _, ue_xy, params = random_scene(seed, beta=0.8)
-    got = associate_all(ue_xy, states, field, use_cones=False)
-    ref_serving, _ = reference_associate(ue_xy, states, field, use_cones=False)
+    field, table, bs_xy, ue_xy, params = random_scene(seed, beta=0.8)
+    got = associate_all(ue_xy, bs_xy, table, field, use_cones=False)
+    ref_serving, _ = reference_associate(ue_xy, bs_xy, table, field,
+                                         use_cones=False)
     assert np.array_equal(got.serving, ref_serving)
     # with cones off every BS is discoverable, so all wins count as phase 1
     assert set(np.unique(got.path)) <= {PATH_REFERENCE, PATH_NONE}
@@ -116,7 +119,8 @@ def ring_scene(rng, buildings, depth, n_extra_ue=10):
     A 1 m kiosk halfway to a BS blocks it from the origin: every BS of the
     `depth` innermost rings gets one, and so does part of the next ring,
     which keeps at least two BSs of each family in the clear. Returns the
-    field, the states and the UEs: the origin first, then random ones.
+    field, the BS positions and table, and the UEs: the origin first, then
+    random ones.
     """
     omni, dedicated, kiosks = [], [], []
     for ring, (r, m) in enumerate(zip(RINGS, RING_SIZES)):
@@ -134,24 +138,19 @@ def ring_scene(rng, buildings, depth, n_extra_ue=10):
     bs_xy = np.array(omni + dedicated)
     perm = rng.permutation(len(bs_xy))
     bs_xy = bs_xy[perm]
-    states = []
-    for j, (x, y) in enumerate(bs_xy):
-        if perm[j] < len(omni):
-            states.append(BsState(j, (x, y), BsRole.OBS, 0.0, 2.0 * math.pi,
-                                  None))
-        else:
-            states.append(BsState(j, (x, y), BsRole.DBS, math.atan2(y, x),
-                                  math.pi / 6, None))
+    is_omni = perm < len(omni)
+    table = BsTable(
+        boresight=np.where(is_omni, 0.0, np.arctan2(bs_xy[:, 1], bs_xy[:, 0])),
+        discovery_range=np.where(is_omni, 2.0 * math.pi, math.pi / 6))
     extra = rng.uniform(-100.0, 100.0, size=(n_extra_ue, 2))
-    return field, states, np.vstack([np.zeros((1, 2)), extra])
+    return field, bs_xy, table, np.vstack([np.zeros((1, 2)), extra])
 
 
-def assert_ties_on_every_block_boundary(states, use_cones):
+def assert_ties_on_every_block_boundary(bs_xy, table, use_cones):
     """Each walk of the origin UE meets BSs tied across every boundary."""
-    bs_xy = np.array([s.position for s in states])
     d2 = (bs_xy ** 2).sum(axis=1)
-    cone = _cone_mask(states, np.zeros((1, 2)))[0] if use_cones \
-        else np.ones(len(states), dtype=bool)
+    cone = _cone_mask(np.zeros((1, 2)), bs_xy, table)[0] if use_cones \
+        else np.ones(len(bs_xy), dtype=bool)
     for walk in ((cone, ~cone) if use_cones else (cone,)):
         d = np.sort(d2[walk])
         k = association._FIRST_BLOCK
@@ -161,14 +160,13 @@ def assert_ties_on_every_block_boundary(states, use_cones):
             k *= 2
 
 
-def check_rules_against_reference(ue_xy, states, field, stats):
+def check_rules_against_reference(ue_xy, bs_xy, table, field, stats):
     """Both rules against the literal scan; tallies how the origin UE won."""
-    bs_xy = np.array([s.position for s in states])
     for use_cones in (True, False):
-        assert_ties_on_every_block_boundary(states, use_cones)
-        got = associate_all(ue_xy, states, field, use_cones=use_cones)
-        ref_serving, ref_path = reference_associate(ue_xy, states, field,
-                                                    use_cones=use_cones)
+        assert_ties_on_every_block_boundary(bs_xy, table, use_cones)
+        got = associate_all(ue_xy, bs_xy, table, field, use_cones=use_cones)
+        ref_serving, ref_path = reference_associate(ue_xy, bs_xy, table,
+                                                    field, use_cones=use_cones)
         assert np.array_equal(got.serving, ref_serving)
         if use_cones:
             assert np.array_equal(got.path, ref_path)
@@ -180,9 +178,9 @@ def check_rules_against_reference(ue_xy, states, field, stats):
         if win_d2 > (RING_UNIT * RINGS[0]) ** 2:
             stats["past_first_ring"] += 1
         # another BS of the same walk, LOS and just as near: a tie to break
-        same_walk = [j for j, st in enumerate(states)
+        same_walk = [j for j in range(len(bs_xy))
                      if not use_cones or (got.path[0] == PATH_REFERENCE)
-                     == in_discovery_cone(st, (0.0, 0.0))]
+                     == cone_holds(bs_xy, table, j, (0.0, 0.0))]
         if any(j != s and (bs_xy[j] ** 2).sum() == win_d2
                and los_between((0.0, 0.0), bs_xy[j], field)
                for j in same_walk):
@@ -214,9 +212,9 @@ def test_ring_ties_on_every_block_boundary_match_reference(n_buildings):
     for depth in range(4):
         for walled in (False, True):
             rng = np.random.default_rng(10 * n_buildings + depth)
-            field, states, ue_xy = ring_scene(
+            field, bs_xy, table, ue_xy = ring_scene(
                 rng, random_buildings(rng, n_buildings, walled), depth)
-            check_rules_against_reference(ue_xy, states, field, stats)
+            check_rules_against_reference(ue_xy, bs_xy, table, field, stats)
     assert stats["reference"] > 0 and stats["pilot"] > 0
     assert stats["tied_win"] > 0 and stats["past_first_ring"] > 0
 
@@ -232,68 +230,125 @@ def test_full_engine_drops_with_two_bs_first_round_match_reference(seed):
                        association_rule=rule, keep_drop=True,
                        window=Window(60.0, 30.0)).drop
         ref_serving, ref_path = reference_associate(
-            drop.ue_xy, drop.bs_states, drop.field, use_cones=use_cones)
+            drop.ue_xy, drop.bs_xy, drop.bs_table, drop.field,
+            use_cones=use_cones)
         assert np.array_equal(drop.association.serving, ref_serving)
         if use_cones:
             assert np.array_equal(drop.association.path, ref_path)
-    field, states, ue_xy = ring_scene(np.random.default_rng(seed),
-                                      drop.field.buildings, seed % 4)
-    check_rules_against_reference(ue_xy, states, field, new_stats())
+    field, bs_xy, table, ue_xy = ring_scene(np.random.default_rng(seed),
+                                            drop.field.buildings, seed % 4)
+    check_rules_against_reference(ue_xy, bs_xy, table, field, new_stats())
 
 
 def test_zero_bias_equals_plain_rsrp():
-    field, states0, bs_xy, ue_xy, params = random_scene(21, beta=0.0)
-    aware = associate_all(ue_xy, states0, field)
-    plain = associate_all(ue_xy, states0, field, use_cones=False)
+    field, table0, bs_xy, ue_xy, params = random_scene(21, beta=0.0)
+    assert not table0.dedicated.any()
+    aware = associate_all(ue_xy, bs_xy, table0, field)
+    plain = associate_all(ue_xy, bs_xy, table0, field, use_cones=False)
     assert np.array_equal(aware.serving, plain.serving)
 
 
 def test_classify_bs_roles():
     # One axis-aligned building; a BS straight below its long wall sees a
-    # wide wall, so at beta=1 the subtended angle beats theta=pi/6.
+    # wide wall, so at beta=1 the subtended angle beats theta=pi/6. Far
+    # away the wall subtends less than theta.
     field = BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
-    near = classify_bs((0.0, -25.0), field, math.pi / 6, 1.0)
-    assert near.role is BsRole.DBS
-    assert near.discovery_range == pytest.approx(2 * math.atan(15.0 / 20.0))
-    assert near.boresight == pytest.approx(math.pi / 2.0)  # up, toward y=-5
-    # same BS with the bias off: cone collapses, role falls back to omni
-    off = classify_bs((0.0, -25.0), field, math.pi / 6, 0.0)
-    assert off.role is BsRole.OBS
-    assert off.discovery_range == pytest.approx(2.0 * math.pi)
-    # far away the wall subtends less than theta
-    far = classify_bs((0.0, -500.0), field, math.pi / 6, 1.0)
-    assert far.role is BsRole.OBS
+    bs_xy = np.array([[0.0, -25.0], [0.0, -500.0]])
+    table = classify_many(bs_xy, field, math.pi / 6, 1.0)
+    assert list(table.dedicated) == [True, False]
+    assert table.discovery_range[0] == pytest.approx(2 * math.atan(15.0 / 20.0))
+    assert table.discovery_range[1] == 2.0 * math.pi
+    assert table.boresight == pytest.approx([math.pi / 2.0] * 2)  # toward y=-5
+    assert classify_bs(bs_xy[0], field, math.pi / 6, 1.0) == pytest.approx(
+        (table.boresight[0], table.discovery_range[0]))
+    # same BSs with the bias off: the cone collapses, every BS is omni
+    off = classify_many(bs_xy, field, math.pi / 6, 0.0)
+    assert not off.dedicated.any()
+    assert list(off.discovery_range) == [2.0 * math.pi] * 2
+
+
+def corner_scene(rng, n_buildings=6, per_corner=4):
+    """Rotated 30 x 10 m buildings far apart, with BSs on the diagonals
+    beyond each corner and elsewhere in each corner's quadrant: points
+    that face two walls at exactly the same distance."""
+    buildings = [Building((300.0 * i, 40.0 * i), 30.0, 10.0, o)
+                 for i, o in enumerate(rng.uniform(0.0, math.pi,
+                                                   size=n_buildings))]
+    pts = []
+    for b in buildings:
+        c, s = math.cos(b.orientation), math.sin(b.orientation)
+        for su, sv in ((1, -1), (1, 1), (-1, 1), (-1, -1)):
+            t = rng.uniform(0.5, 30.0, size=per_corner)
+            off = np.column_stack([t, t * rng.choice([1.0, 0.3, 3.0],
+                                                     size=per_corner)])
+            u, v = su * (15.0 + off[:, 0]), sv * (5.0 + off[:, 1])
+            pts.append(np.column_stack([b.center[0] + u * c - v * s,
+                                        b.center[1] + u * s + v * c]))
+    return BuildingField(buildings), np.vstack(pts)
 
 
 def test_classify_many_matches_scalar():
-    field, states, bs_xy, _, params = random_scene(3)
-    for st in states[:10]:
-        solo = classify_bs(st.position, field, params.theta, params.beta,
-                           index=st.index)
-        assert solo.role == st.role
-        assert solo.discovery_range == pytest.approx(st.discovery_range)
-        assert solo.boresight == pytest.approx(st.boresight)
+    # against the scalar oracle: random scenes, points beyond corners
+    # (where two walls tie and the smaller index wins) and the BSs of
+    # dense full-engine drops
+    rng = np.random.default_rng(3)
+    scenes = [corner_scene(rng)]
+    for seed in range(3):
+        field, _, bs_xy, _, _ = random_scene(seed)
+        scenes.append((field, bs_xy))
+    for seed in (0, 1):
+        drop = realize(ScenarioParams(lambda_ell=1000), SimMode.FULL_GEOMETRY,
+                       seed, keep_drop=True).drop
+        scenes.append((drop.field, drop.bs_xy))
+    for theta, beta in ((math.pi / 12, 0.3), (math.pi / 6, 0.7),
+                        (math.pi / 3, 1.0)):
+        for field, bs_xy in scenes:
+            table = classify_many(bs_xy, field, theta, beta)
+            ref = np.array([classify_bs(p, field, theta, beta) for p in bs_xy])
+            assert np.array_equal(table.dedicated, ref[:, 1] < 2.0 * math.pi)
+            assert table.discovery_range == pytest.approx(ref[:, 1], abs=1e-12)
+            turn = np.remainder(table.boresight - ref[:, 0] + math.pi,
+                                2.0 * math.pi) - math.pi
+            assert np.abs(turn).max() < 1e-12
 
 
 def test_no_buildings_everyone_omni():
     field = BuildingField([])
-    st = classify_bs((5.0, 5.0), field, math.pi / 6, 1.0)
-    assert st.role is BsRole.OBS and st.discovery_range == 2.0 * math.pi
-    assert in_discovery_cone(st, (100.0, -40.0))
-    assert _cone_mask([st], np.array([[100.0, -40.0]])).all()
+    bs_xy = np.array([[5.0, 5.0], [-30.0, 2.0]])
+    table = classify_many(bs_xy, field, math.pi / 6, 1.0)
+    assert not table.dedicated.any()
+    assert list(table.discovery_range) == [2.0 * math.pi] * 2
+    assert in_discovery_cone(bs_xy[0], table.boresight[0],
+                             table.discovery_range[0], (100.0, -40.0))
+    assert _cone_mask(np.array([[100.0, -40.0]]), bs_xy, table).all()
+    # next to a dedicated column, an omni column still accepts every UE
+    mixed = BsTable(np.array([0.0, 0.0]), np.array([2.0 * math.pi, 0.2]))
+    ue_xy = np.random.default_rng(4).uniform(-50.0, 50.0, size=(40, 2))
+    mask = _cone_mask(ue_xy, bs_xy, mixed)
+    assert mask[:, 0].all()
+    assert 0 < mask[:, 1].sum() < len(ue_xy)
 
 
 def test_discovery_cone_wraps_across_pi():
     field = BuildingField([Building((-40.0, 0.0), 30.0, 10.0, 0.0)])
-    bs = classify_bs((20.0, 0.0), field, math.pi / 6, 1.0)
-    # boresight points in the -x direction (angle ~pi); the cone must not
-    # tear at the atan2 branch cut
-    assert abs(abs(bs.boresight) - math.pi) < 0.3
+    bs_xy = np.array([[20.0, 0.0]])
+    table = classify_many(bs_xy, field, 0.1, 1.0)
+    bore, width = table.boresight[0], table.discovery_range[0]
+    # the 10 m wall 45 m away subtends 0.22 rad; the boresight points in
+    # the -x direction (angle ~pi), and the cone must not tear at the
+    # atan2 branch cut
+    assert table.dedicated[0] and abs(abs(bore) - math.pi) < 0.3
     ue_above = (-80.0, 4.0)
     ue_below = (-80.0, -4.0)
-    assert in_discovery_cone(bs, ue_above) == in_discovery_cone(bs, ue_below)
-    mask = _cone_mask([bs], np.array([ue_above, ue_below]))
-    assert list(mask[:, 0]) == [in_discovery_cone(bs, ue_above)] * 2
+    inside = in_discovery_cone(bs_xy[0], bore, width, ue_above)
+    assert in_discovery_cone(bs_xy[0], bore, width, ue_below) == inside
+    mask = _cone_mask(np.array([ue_above, ue_below]), bs_xy, table)
+    assert inside and list(mask[:, 0]) == [True, True]
+    # the cone edge is inclusive: atan2(1, 1) is exactly pi/4, half of pi/2
+    edge = BsTable(np.array([0.0]), np.array([math.pi / 2.0]))
+    ue_xy = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+    assert list(_cone_mask(ue_xy, np.zeros((1, 2)), edge)[:, 0]) == [True, False]
+    assert in_discovery_cone((0.0, 0.0), 0.0, math.pi / 2.0, (1.0, 1.0))
 
 
 def test_association_helpers_and_schedule():
@@ -319,8 +374,8 @@ def test_uncovered_when_everything_blocked():
         Building((-18.0, 0.0), 40.0, 8.0, math.pi / 2),
     ])
     params = ScenarioParams()
-    states = classify_many(np.array([[120.0, 0.0], [0.0, 150.0]]), field,
-                           params.theta, 1.0)
-    assoc = associate_all(np.array([[0.0, 0.0]]), states, field)
+    bs_xy = np.array([[120.0, 0.0], [0.0, 150.0]])
+    table = classify_many(bs_xy, field, params.theta, 1.0)
+    assoc = associate_all(np.array([[0.0, 0.0]]), bs_xy, table, field)
     assert assoc.serving[0] == PATH_NONE
     assert assoc.path[0] == PATH_NONE

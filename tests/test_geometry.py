@@ -2,7 +2,8 @@
 
 Where a closed form exists the tests pin it; everything stochastic is
 checked against brute-force oracles on seeded draws. The scalar oracles
-for rectangle distance and LOS live in `oracles.py`.
+for rectangle distance, LOS, the facing wall and its angle live in
+`oracles.py`.
 """
 
 import math
@@ -17,15 +18,16 @@ from mmwlab.geometry import (
     RegionClass,
     Window,
     classify_point,
-    discovery_angle,
-    facing_wall,
     los_pairs,
     los_to_many,
     sample_buildings,
     sample_ppp,
 )
+from mmwlab.association import classify_many
 from mmwlab.scenario import ScenarioParams
-from oracles import boundary_distances, los_between, nearest_buildings, to_local
+from oracles import (boundary_distances, discovery_angle, facing_wall,
+                     los_between, nearest_buildings, point_segment_distance,
+                     to_local, walls)
 
 
 def make_field(rng, n=12, span=220.0, d_l=30.0, d_w=10.0):
@@ -46,30 +48,54 @@ def test_window_expansion():
     assert w.sample_area_m2 == pytest.approx(260.0 ** 2)
 
 
+def facing(field, points, owner=0, beta=1.0):
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    return field.facing_walls(pts, np.full(len(pts), owner), beta)
+
+
+# 40 m straight out from each side of a 30 x 10 m building at (5, -2)
+AXIS_ALIGNED = Building(center=(5.0, -2.0), length=30.0, width=10.0,
+                        orientation=0.0)
+OUT = [(5.0, -20.0), (40.0, -2.0), (5.0, 20.0), (-40.0, -2.0)]
+
+
 def test_building_corners_axis_aligned():
-    b = Building(center=(5.0, -2.0), length=30.0, width=10.0, orientation=0.0)
-    cs = b.corners()
-    assert cs == pytest.approx(np.array([[-10.0, -7.0], [20.0, -7.0],
-                                         [20.0, 3.0], [-10.0, 3.0]]))
+    # at beta=1 each facing wall runs counterclockwise between two corners
+    _, ends = facing(BuildingField([AXIS_ALIGNED]), OUT)
+    cs = np.array([[-10.0, -7.0], [20.0, -7.0], [20.0, 3.0], [-10.0, 3.0]])
+    assert ends[0] == pytest.approx(cs)
+    assert ends[1] == pytest.approx(np.roll(cs, -1, axis=0))
+    assert np.array(walls(AXIS_ALIGNED)) == pytest.approx(
+        np.stack([cs, np.roll(cs, -1, axis=0)], axis=1))
 
 
 def test_wall_normals_point_outward():
-    b = Building(center=(0.0, 0.0), length=30.0, width=10.0, orientation=0.0)
-    normals = [w.outward_normal for w in b.walls()]
-    assert normals[0] == pytest.approx((0.0, -1.0))
-    assert normals[1] == pytest.approx((1.0, 0.0))
-    assert normals[2] == pytest.approx((0.0, 1.0))
-    assert normals[3] == pytest.approx((-1.0, 0.0))
-    assert [w.length for w in b.walls()] == pytest.approx([30, 10, 30, 10])
-    assert b.walls()[0].midpoint == pytest.approx((0.0, -5.0))
+    # walls 0..3 face -y, +x, +y and -x; beta contracts each about its
+    # midpoint
+    field = BuildingField([AXIS_ALIGNED])
+    wall, ends = facing(field, OUT)
+    assert list(wall) == [0, 1, 2, 3]
+    assert ends[2] == pytest.approx(np.array([[5.0, -7.0], [20.0, -2.0],
+                                              [5.0, 3.0], [-10.0, -2.0]]))
+    _, half = facing(field, OUT[:2], beta=0.5)
+    assert half[:2] == pytest.approx(np.array([[[-2.5, -7.0], [20.0, -4.5]],
+                                               [[12.5, -7.0], [20.0, 0.5]]]))
 
 
 def test_rotated_corners_preserve_shape():
     b = Building(center=(3.0, 4.0), length=24.0, width=8.0, orientation=1.1)
-    cs = b.corners()
-    sides = [np.linalg.norm(cs[(k + 1) % 4] - cs[k]) for k in range(4)]
+    field = BuildingField([b])
+    # 100 m out along the local -y, +x, +y and -x axes
+    dirs = b.orientation + np.array([-0.5, 0.0, 0.5, 1.0]) * math.pi
+    wall, ends = facing(field, np.column_stack([3.0 + 100.0 * np.cos(dirs),
+                                                4.0 + 100.0 * np.sin(dirs)]))
+    assert list(wall) == [0, 1, 2, 3]
+    sides = np.hypot(*(ends[1] - ends[0]).T)
     assert sides == pytest.approx([24.0, 8.0, 24.0, 8.0])
-    assert cs.mean(axis=0) == pytest.approx([3.0, 4.0])
+    assert ends[2].mean(axis=0) == pytest.approx([3.0, 4.0])
+    for k in range(4):
+        assert np.vstack([ends[0][k], ends[1][k]]) == pytest.approx(
+            np.array(walls(b)[k]), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -316,48 +342,166 @@ def test_los_endpoint_inside_building_still_geometric():
 # Wall picking and discovery geometry
 
 
-def test_nearest_wall_brute_force():
-    def seg_dist(p, a, b):
-        a = np.asarray(a); b = np.asarray(b); p = np.asarray(p)
-        t = np.clip(np.dot(p - a, b - a) / np.dot(b - a, b - a), 0.0, 1.0)
-        return float(np.linalg.norm(p - (a + t * (b - a))))
+def local_points(b, uv):
+    """World coordinates of points given in building b's axis frame."""
+    uv = np.asarray(uv, dtype=float)
+    c, s = math.cos(b.orientation), math.sin(b.orientation)
+    return np.column_stack([b.center[0] + uv[:, 0] * c - uv[:, 1] * s,
+                            b.center[1] + uv[:, 0] * s + uv[:, 1] * c])
 
+
+ORIENTATIONS = (0.0, 0.3, 1.0, math.pi / 2, 2.5)
+# local signs of corners 1, 2, 3, 0, and the two walls meeting at each
+CORNERS = (((1, -1), (0, 1)), ((1, 1), (1, 2)), ((-1, 1), (2, 3)),
+           ((-1, -1), (0, 3)))
+
+
+def assert_facing_matches_oracle(field, pts, owners):
+    wall, _ = field.facing_walls(pts, owners, 1.0)
+    assert list(wall) == [facing_wall(p, field.buildings[i])
+                          for p, i in zip(pts, owners)]
+    return wall
+
+
+def test_facing_wall_corner_ties_go_to_the_smaller_index():
+    # beyond a corner a point faces both walls meeting there, and the
+    # corner is the nearest point of each: the two tie exactly, on the
+    # diagonal and anywhere else in the corner's quadrant
+    t = np.array([1e-3, 0.5, 3.0, 40.0, 700.0])
+    for o in ORIENTATIONS:
+        b = Building((12.0, -7.0), 30.0, 10.0, o)
+        field = BuildingField([b])
+        for sign, pair in CORNERS:
+            uv = np.concatenate([np.column_stack([15.0 + t, 5.0 + t]),
+                                 np.column_stack([15.0 + t, 5.0 + 0.2 * t]),
+                                 np.column_stack([15.0 + 3.0 * t, 5.0 + t])])
+            pts = local_points(b, uv * sign)
+            wall = assert_facing_matches_oracle(field, pts,
+                                                np.zeros(len(pts), int))
+            assert (wall == min(pair)).all()
+
+
+def test_facing_wall_on_wall_extension_lines():
+    # On a wall's line, past its end, a point faces only the next wall; a
+    # hair farther out it is beyond the corner (a tie, to the smaller
+    # index), a hair inward it still faces the next wall alone. Exactly on
+    # the line, only the axis-aligned frame is free of rounding; rotated,
+    # either of the two walls is a right answer.
+    t = np.array([1e-3, 2.0, 60.0])
+    for o in ORIENTATIONS:
+        b = Building((-4.0, 9.0), 30.0, 10.0, o)
+        field = BuildingField([b])
+        for sign, pair in CORNERS:
+            for hair in (1e-6, 0.0, -1e-6):
+                uv = np.concatenate([
+                    np.column_stack([15.0 + t, np.full(3, 5.0 + hair)]),
+                    np.column_stack([np.full(3, 15.0 + hair), 5.0 + t])])
+                pts = local_points(b, uv * sign)
+                owners = np.zeros(len(pts), int)
+                if hair or o == 0.0:
+                    wall = assert_facing_matches_oracle(field, pts, owners)
+                else:
+                    wall, _ = field.facing_walls(pts, owners, 1.0)
+                assert set(wall) <= set(pair)
+
+
+def test_facing_wall_inside_or_on_the_rectangle_takes_the_nearest():
+    # a point inside or on the rectangle faces no wall, so the nearest
+    # one wins; on the corners themselves, the smaller index
+    uv = np.array([[3.0, 4.5], [14.0, -1.0], [-2.0, -4.9], [-14.5, 2.0],
+                   [0.0, -5.0], [15.0, 1.0], [-6.0, 5.0], [-15.0, -3.0]])
+    for o in ORIENTATIONS:
+        b = Building((7.0, 2.0), 30.0, 10.0, o)
+        field = BuildingField([b])
+        wall = assert_facing_matches_oracle(field, local_points(b, uv),
+                                            np.zeros(len(uv), int))
+        assert list(wall) == [2, 1, 0, 3, 0, 1, 2, 3]
+    b = Building((7.0, 2.0), 30.0, 10.0, 0.0)
+    field = BuildingField([b])
+    cs = np.array([w[0] for w in walls(b)])
+    wall = assert_facing_matches_oracle(field, cs, np.zeros(4, int))
+    assert list(wall) == [0, 0, 1, 2]
+
+
+@pytest.mark.parametrize("lam", [100.0, 400.0, 1000.0])
+def test_facing_walls_match_oracle_on_random_fields(lam):
+    # nearest and random owners, points inside and outside rectangles;
+    # the contracted ends match the oracle's wall at every beta
+    rng = np.random.default_rng(int(lam))
+    field = sample_buildings(Window(150.0, 20.0),
+                             ScenarioParams(lambda_ell=lam), rng)
+    pts = rng.uniform(-200.0, 200.0, size=(400, 2))
+    for owners in (nearest_buildings(field, pts),
+                   rng.integers(0, len(field), size=len(pts))):
+        wall = assert_facing_matches_oracle(field, pts, owners)
+        for beta in (0.0, 0.4, 1.0):
+            _, ends = field.facing_walls(pts, owners, beta)
+            for j in range(0, len(pts), 7):
+                (x1, y1), (x2, y2) = walls(field.buildings[owners[j]])[wall[j]]
+                ref = [(((1 - beta) * x2 + (1 + beta) * x1) / 2,
+                        ((1 - beta) * y2 + (1 + beta) * y1) / 2),
+                       (((1 - beta) * x1 + (1 + beta) * x2) / 2,
+                        ((1 - beta) * y1 + (1 + beta) * y2) / 2),
+                       ((x1 + x2) / 2, (y1 + y2) / 2)]
+                assert ends[:, j] == pytest.approx(np.array(ref), abs=1e-9)
+
+
+def test_nearest_wall_brute_force():
+    # the facing wall of the nearest building is the nearest wall of all
     rng = np.random.default_rng(6)
     field = make_field(rng, n=15)
-    for _ in range(200):
-        p = rng.uniform(-240, 240, size=2)
-        _, indoor = boundary_distances(field, p)
-        if indoor[0]:
-            continue
-        w = facing_wall(p, field, field.nearest_building(p))
-        d_pick = seg_dist(p, w.v1, w.v2)
-        d_best = min(seg_dist(p, ww.v1, ww.v2)
-                     for b_i, b in enumerate(field.buildings)
-                     for ww in b.walls(owner=b_i))
+    pts = rng.uniform(-240, 240, size=(200, 2))
+    pts = pts[~boundary_distances(field, pts)[1]]
+    wall, ends = field.facing_walls(pts, field.nearest_building_many(pts), 1.0)
+    for j, p in enumerate(pts):
+        d_pick = point_segment_distance(p, ends[0][j], ends[1][j])
+        d_best = min(point_segment_distance(p, *w)
+                     for b in field.buildings for w in walls(b))
         assert d_pick == pytest.approx(d_best, abs=1e-9)
-        # picked wall faces the point
-        mx, my = w.midpoint
-        nx, ny = w.outward_normal
-        assert (p[0] - mx) * nx + (p[1] - my) * ny > 0.0
+        # the picked wall faces the point
+        (mx, my), (ax, ay) = ends[2][j], ends[0][j]
+        bx, by = ends[1][j]
+        assert (p[0] - mx) * (by - ay) - (p[1] - my) * (bx - ax) > 0.0
+        assert wall[j] == facing_wall(p, field.buildings[
+            nearest_buildings(field, p)[0]])
+
+
+def spans(field, bs_xy, beta):
+    """Angle the contracted facing wall subtends at each BS: the
+    discovery range when theta is below every nonzero span."""
+    return classify_many(bs_xy, field, 1e-12, beta).discovery_range
 
 
 def test_discovery_angle_perpendicular_case():
     b = Building((0.0, 0.0), 30.0, 10.0, 0.0)
-    wall = b.walls()[0]                     # y = -5, from (-15,-5) to (15,-5)
+    field = BuildingField([b])
+    wall = walls(b)[0]                      # y = -5, from (-15,-5) to (15,-5)
     bs = (0.0, -45.0)                       # 40 m off the wall, on the bisector
     for beta in (1.0, 0.5, 0.25):
         expected = 2.0 * math.atan(beta * 15.0 / 40.0)
         assert discovery_angle(bs, wall, beta) == pytest.approx(expected)
+        assert spans(field, [bs], beta)[0] == pytest.approx(expected)
     assert discovery_angle(bs, wall, 0.0) == 0.0
+    # with the wall collapsed the BS stays omni
+    assert spans(field, [bs], 0.0)[0] == 2.0 * math.pi
 
 
 def test_discovery_angle_monotone_in_beta_and_wrap_safe():
     rng = np.random.default_rng(8)
     b = Building((0.0, 0.0), 30.0, 10.0, 0.6)
-    wall = b.walls()[2]
-    for _ in range(50):
-        ang = rng.uniform(0, 2 * math.pi)
-        bs = (120.0 * math.cos(ang), 120.0 * math.sin(ang))
-        grid = [discovery_angle(bs, wall, bb) for bb in np.linspace(0, 1, 9)]
+    field = BuildingField([b])
+    ang = rng.uniform(0, 2 * math.pi, size=50)
+    bs_xy = 120.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+    betas = np.linspace(0, 1, 9)
+    for bs in bs_xy:
+        # any wall, also seen from behind
+        grid = [discovery_angle(bs, walls(b)[2], bb) for bb in betas]
         assert all(0.0 <= g <= math.pi for g in grid)
         assert all(g2 >= g1 - 1e-12 for g1, g2 in zip(grid, grid[1:]))
+    grid = np.array([spans(field, bs_xy, bb) for bb in betas[1:]])
+    assert ((grid > 0.0) & (grid <= math.pi)).all()
+    assert (np.diff(grid, axis=0) >= -1e-12).all()
+    facing = [walls(b)[facing_wall(bs, b)] for bs in bs_xy]
+    for bb, row in zip(betas[1:], grid):
+        ref = [discovery_angle(bs, w, bb) for bs, w in zip(bs_xy, facing)]
+        assert row == pytest.approx(ref, abs=1e-12)

@@ -55,7 +55,8 @@ def test_keep_drop_exposes_scene():
     assert rec.drop is not None
     d = rec.drop
     assert d.bs_xy.shape[1] == 2
-    assert len(d.bs_states) == len(d.bs_xy) == len(d.fading)
+    assert len(d.bs_table.boresight) == len(d.bs_table.discovery_range) \
+        == len(d.bs_xy) == len(d.fading)
     assert len(d.beam_dir) == len(d.active) == len(d.bs_xy)
     # the typical UE is row 0 of the UE matrix by construction
     assert np.allclose(d.ue_xy[0], [0.0, 0.0])
