@@ -28,6 +28,13 @@ CASES = {
     "analytic_gangnam_b05": ["analytic", "--city", "gangnam", "--beta", "0.5"],
     "optimal_beta_rate": ["optimal-beta", "--objective", "rate"],
     "optimal_beta_coverage": ["optimal-beta", "--objective", "coverage"],
+    # Gangnam's knee (0.74) lies inside [0, 1]: the knee-segment branch
+    "optimal_beta_coverage_gangnam": ["optimal-beta", "--objective",
+                                      "coverage", "--city", "gangnam"],
+    # alpha = 3 and 4 take the hypergeometric branch of the band integral
+    "sweep_alpha_rate_gain": ["sweep", "--key", "alpha", "--start", "2",
+                              "--stop", "4", "--steps", "3", "--engines",
+                              "analytic", "--rate-gain"],
     # gamma_c = 0 and 1 take the one-class branches of the rate mix
     "sweep_gamma_c": ["sweep", "--key", "gamma_c", "--start", "0", "--stop",
                       "1", "--steps", "5", "--engines", "analytic",
