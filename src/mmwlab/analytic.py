@@ -9,8 +9,11 @@ blockage process.
 
 Coverage is one adaptive quadrature over the serving distance; the
 interference band integral inside it is closed form (an exact log at
-alpha = 2, a Gauss hypergeometric function otherwise). `include_noise`
-alone decides SIR or SINR, for coverage, rate and both bias optimizers.
+alpha = 2, a Gauss hypergeometric function otherwise). The bias optimizers
+scan their grid with fixed Gauss-Legendre rules on arrays, built on the
+same band antiderivative, and re-evaluate adaptively only the grid points
+whose error bounds leave them in contention. `include_noise` alone
+decides SIR or SINR, for coverage, rate and both bias optimizers.
 
 Inputs use the ScenarioParams units (densities per km^2, meters, radians,
 linear gains); conversion to per-m^2 happens inside.
@@ -44,10 +47,14 @@ class QuadratureError(ArithmeticError):
         self.achieved_abs_err = achieved_abs_err
 
 
+# Tolerances of the adaptive quadrature behind every returned coverage.
+_EPSABS, _EPSREL = 1e-12, 1e-8
+
+
 def _quad(f, a: float, b: float) -> float:
     if b <= a:
         return 0.0
-    out = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-8, limit=200,
+    out = integrate.quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=200,
                          full_output=1)
     if len(out) > 3:
         raise QuadratureError(
@@ -174,19 +181,28 @@ def region1_interferer_prob(theta: float, p_a: float) -> float:
 # Coverage
 
 
-def _band_integral(lo: float, hi: float, half_alpha: float) -> float:
-    """int_lo^hi du / (1 + u^a) for a = alpha/2, in closed form.
+def _math(x):
+    """numpy for arrays, math for floats: the scalar integrands keep the
+    bits of the math module, whose log1p and exp numpy's vector loops need
+    not match."""
+    return np if isinstance(x, np.ndarray) else math
 
-    Exact log at a = 1; otherwise the antiderivative
-    x * 2F1(1, 1/a; 1 + 1/a; -x^a) taken between the band ends.
+
+def _band_antiderivative(u, half_alpha: float):
+    """F(u) = int_0^u dv / (1 + v^a) for a = alpha/2, on a float or an array.
+
+    Exact log at a = 1; otherwise u * 2F1(1, 1/a; 1 + 1/a; -u^a). A band
+    [lo, hi] integrates to F(hi) - F(lo).
     """
-    if hi <= lo:
-        return 0.0
     if half_alpha == 1.0:
-        return math.log1p(hi) - math.log1p(lo)
+        return _math(u).log1p(u)
     inv = 1.0 / half_alpha
-    return hi * hyp2f1(1.0, inv, 1.0 + inv, -hi ** half_alpha) \
-        - lo * hyp2f1(1.0, inv, 1.0 + inv, -lo ** half_alpha)
+    return u * hyp2f1(1.0, inv, 1.0 + inv, -u ** half_alpha)
+
+
+def _band(lo: float, hi: float, f_lo, f_hi):
+    """Band integral from the antiderivative at its ends; 0 if hi <= lo."""
+    return f_hi - f_lo if hi > lo else 0.0
 
 
 def noise_power_dbm(params) -> float:
@@ -195,15 +211,15 @@ def noise_power_dbm(params) -> float:
 
 
 def _snr_survival(params):
-    """r -> Rayleigh SNR survival exp(-t*sigma^2*r^alpha/(P*g_m)), with the
-    powers in mW converted from dB once; r -> 1 when the scenario leaves
-    noise out."""
+    """r -> Rayleigh SNR survival exp(-t*sigma^2*r^alpha/(P*g_m)), on a
+    float or an array, with the powers in mW converted from dB once; r -> 1
+    when the scenario leaves noise out."""
     if not params.include_noise:
         return lambda r: 1.0
     neg_t_sigma2 = -params.t * 10.0 ** (noise_power_dbm(params) / 10.0)
     p_gm = 10.0 ** (params.tx_power_dbm / 10.0) * params.g_m
     alpha = params.alpha
-    return lambda r: math.exp(neg_t_sigma2 * r ** alpha / p_gm)
+    return lambda r: _math(r).exp(neg_t_sigma2 * r ** alpha / p_gm)
 
 
 def snr_factor(params, r: float) -> float:
@@ -232,17 +248,21 @@ def coverage_far(params, beta: float) -> float:
     ha, t2a, p_a, gs_mult = _coverage_pieces(params)
     snr = _snr_survival(params)
 
+    u0 = 1.0 / t2a
+    f0 = _band_antiderivative(u0, ha)
+
     def inner(r):
         if r <= 0.0:
             return 0.0
-        u0 = 1.0 / t2a
         u_edge = r_l * r_l / (r * r * t2a)
+        f_edge = _band_antiderivative(u_edge, ha)
         if r <= r_b:
             u_b = r_b * r_b / (r * r * t2a)
-            bands = p_a * t2a * _band_integral(u0, u_b, ha) \
-                + gs_mult * _band_integral(u_b, u_edge, ha)
+            f_b = _band_antiderivative(u_b, ha)
+            bands = p_a * t2a * _band(u0, u_b, f0, f_b) \
+                + gs_mult * _band(u_b, u_edge, f_b, f_edge)
         else:
-            bands = gs_mult * _band_integral(u0, u_edge, ha)
+            bands = gs_mult * _band(u0, u_edge, f0, f_edge)
         return 2.0 * math.pi * lam_b * r \
             * math.exp(-math.pi * lam_b * r * r * (1.0 + bands)) \
             * snr(r)
@@ -265,21 +285,26 @@ def coverage_near(params, beta: float) -> float:
     r_1, r_eff = ring_radii(r_l, r_b)
     p_ell = region1_interferer_prob(params.theta, p_a)
 
+    u0 = 1.0 / t2a
+    f0 = _band_antiderivative(u0, ha)
+
     def inner(r):
         if r <= 0.0:
             return 0.0
         rr = r * r
-        u0 = 1.0 / t2a
         u1 = max(r_eff * r_eff, rr) / (rr * t2a)
         u_edge = r_l * r_l / (rr * t2a)
+        f1 = _band_antiderivative(u1, ha)
+        f_edge = _band_antiderivative(u_edge, ha)
         if r <= r_1:
             u2 = r_1 * r_1 / (rr * t2a)
-            bands = p_ell * t2a * _band_integral(u0, u2, ha) \
-                + p_a * t2a * _band_integral(u2, u1, ha) \
-                + gs_mult * _band_integral(u1, u_edge, ha)
+            f2 = _band_antiderivative(u2, ha)
+            bands = p_ell * t2a * _band(u0, u2, f0, f2) \
+                + p_a * t2a * _band(u2, u1, f2, f1) \
+                + gs_mult * _band(u1, u_edge, f1, f_edge)
         else:
-            bands = p_a * t2a * _band_integral(u0, u1, ha) \
-                + gs_mult * _band_integral(u1, u_edge, ha)
+            bands = p_a * t2a * _band(u0, u1, f0, f1) \
+                + gs_mult * _band(u1, u_edge, f1, f_edge)
         return math.pi * lam_b * r \
             * math.exp(-(math.pi / 2.0) * lam_b * rr * (1.0 + bands)) \
             * snr(r)
@@ -288,17 +313,21 @@ def coverage_near(params, beta: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _mixed_coverage(params, s_n, s_r) -> float:
-    """Population coverage from each class's coverage, gamma_c-weighted
-    and clamped to [0, 1]. A class with zero weight is skipped, so its s
-    may be None."""
+def _mix(params, x_n, x_r):
+    """gamma_c-weighted sum of a per-class quantity. A class with zero
+    weight is skipped, so its x may be None."""
     gc = params.gamma_c
     total = 0.0
     if gc > 0.0:
-        total += gc * s_n
+        total += gc * x_n
     if gc < 1.0:
-        total += (1.0 - gc) * s_r
-    return min(max(total, 0.0), 1.0)
+        total += (1.0 - gc) * x_r
+    return total
+
+
+def _mixed_coverage(params, s_n, s_r) -> float:
+    """Population coverage from each class's coverage, clamped to [0, 1]."""
+    return min(max(_mix(params, s_n, s_r), 0.0), 1.0)
 
 
 def coverage(params, beta: float) -> float:
@@ -431,7 +460,83 @@ def average_rate(params, beta: float,
 # ---------------------------------------------------------------------------
 # Bias optimization
 
+_GRID_POINTS = 201
+_GOLDEN_TOL = 1e-4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Gauss-Legendre nodes and weights on [-1, 1] of the grid scan's two fixed
+# rules: values come from the first, error estimates from the difference.
+_GL_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (48, 24))
+
+# The adaptive coverage_near can miss its tolerance where its interval
+# [r_1, r_l] straddles the kink at r_eff: by up to 166 tolerances, always
+# low, over 700 random scenarios. A grid comparison adds this slack on
+# both sides, so it covers such a miss.
+_ADAPTIVE_SLACK = 128.0
+
+
+def _fixed_rule(g, lo, hi):
+    """Integrals of g over the panels [lo, hi] (arrays over the bias grid),
+    and the difference of the two rule orders. g maps radii of shape
+    (grid, nodes) to integrand values."""
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    fine, coarse = (half * (g(mid[:, None] + half[:, None] * x) @ w)
+                    for x, w in _GL_RULES)
+    return fine, np.abs(fine - coarse)
+
+
+def _coverage_grid(params, betas):
+    """(s_n, s_r, e_n, e_r): both classes' coverage on a whole bias grid by
+    fixed Gauss-Legendre rules, with bounds e on their distance to
+    coverage_near / coverage_far.
+
+    Panels split r where the integrands have kinks: [0, r_b], [r_b, r_l]
+    for the far class and [0, r_1], [r_1, r_eff], [r_eff, r_l] for the
+    near one. A bound is the two rule orders' difference plus
+    _ADAPTIVE_SLACK times the adaptive quadrature's tolerance; a value that
+    is not finite has a NaN or infinite bound.
+    """
+    r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
+    lam_b = params.lambda_b * _PER_KM2_TO_M2
+    r_b = np.array([effective_mainlobe_radius(r_l, params.theta, b, params.d_l)
+                    for b in betas])
+    r_1, r_eff = np.array([ring_radii(r_l, rb) for rb in r_b]).T
+    r_l_all = np.full_like(r_b, r_l)
+    ha, t2a, p_a, gs_mult = _coverage_pieces(params)
+    p_ell = region1_interferer_prob(params.theta, p_a)
+    snr = _snr_survival(params)
+    f0 = _band_antiderivative(1.0 / t2a, ha)
+
+    def integral(c, panels):
+        """sum over panels of int 2*c*r*exp(-c*r^2*(1 + bands))*snr(r) dr.
+        A panel is (lo, hi, band weights, outer band ends as radii); its
+        first band starts at u0 = 1/t^(2/alpha)."""
+        total = err = 0.0
+        for lo, hi, weights, ends in panels:
+            def g(r):
+                rr_t = r * r * t2a
+                bands, f_prev = 0.0, f0
+                for wt, rho in zip(weights, ends):
+                    f = _band_antiderivative(rho[:, None] ** 2 / rr_t, ha)
+                    bands = bands + wt * (f - f_prev)
+                    f_prev = f
+                val = 2.0 * c * r * np.exp(-c * r * r * (1.0 + bands)) * snr(r)
+                return np.where(r > 0.0, val, 0.0)
+            v, e = _fixed_rule(g, lo, hi)
+            total, err = total + v, err + e
+        s = np.clip(total, 0.0, 1.0)
+        return s, err + _ADAPTIVE_SLACK * (_EPSABS + _EPSREL * s)
+
+    zero = np.zeros_like(r_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_r, e_r = integral(math.pi * lam_b, [
+            (zero, r_b, (p_a * t2a, gs_mult), (r_b, r_l_all)),
+            (r_b, r_l_all, (gs_mult,), (r_l_all,))])
+        s_n, e_n = integral(math.pi * lam_b / 2.0, [
+            (zero, r_1, (p_ell * t2a, p_a * t2a, gs_mult), (r_1, r_eff, r_l_all)),
+            (r_1, r_eff, (p_a * t2a, gs_mult), (r_eff, r_l_all)),
+            (r_eff, r_l_all, (gs_mult,), (r_l_all,))])
+    return s_n, s_r, e_n, e_r
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -452,22 +557,34 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return xm, f(xm)
 
 
-def _grid_refine_max(f, lo: float, hi: float,
-                     n_grid: int = 201, tol: float = 1e-4) -> tuple[float, float]:
+def _grid_refine_max(f, f_grid, lo: float, hi: float) -> tuple[float, float]:
     """Uniform grid scan plus golden-section refinement around the best cell.
+
+    `f_grid(xs)` gives the objective on the whole grid at once as fixed-rule
+    values with bounds on their distance to `f`. It only picks the grid
+    points that `f` evaluates: each point whose value plus bound reaches
+    the best value minus bound, and each point whose value or bound is
+    NaN. The best cell is the argmax of `f` over those points, ties to the
+    lower index, so it is the cell of an all-`f` scan whenever the bounds
+    hold. The refinement and the returned value come from `f` alone.
 
     Returns the better of the refined point and the best grid point, so
     exact grid endpoints survive when the optimum sits on the boundary.
     """
-    xs = np.linspace(lo, hi, n_grid)
-    vals = np.array([f(x) for x in xs])
-    i = int(np.argmax(vals))
+    xs = np.linspace(lo, hi, _GRID_POINTS)
+    approx, bound = f_grid(xs)
+    lower = approx - bound
+    best = np.max(lower, initial=-np.inf, where=~np.isnan(lower))
+    picked = np.flatnonzero(~(approx + bound < best))
+    vals = np.array([f(float(xs[k])) for k in picked])
+    j = int(np.argmax(vals))
+    i = int(picked[j])
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n_grid - 1)]
-    xr, vr = _golden_max(f, float(a), float(b), tol)
-    if vr > vals[i]:
-        return xr, vr
-    return float(xs[i]), float(vals[i])
+    b = xs[min(i + 1, _GRID_POINTS - 1)]
+    xr, vr = _golden_max(f, float(a), float(b), _GOLDEN_TOL)
+    if vr > vals[j]:
+        return float(xr), float(vr)
+    return float(xs[i]), float(vals[j])
 
 
 def optimal_bias_coverage(params) -> tuple[float, float]:
@@ -482,15 +599,36 @@ def optimal_bias_coverage(params) -> tuple[float, float]:
     def f(b):
         return coverage(params, b)
 
+    def f_grid(betas):
+        s_n, s_r, e_n, e_r = _coverage_grid(params, betas)
+        return np.clip(_mix(params, s_n, s_r), 0.0, 1.0), _mix(params, e_n, e_r)
+
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
     knee = math.tan(params.theta / 2.0) * r_l / params.d_l
     if knee < 1.0:
-        bx, vx = _grid_refine_max(f, 0.0, knee)
+        bx, vx = _grid_refine_max(f, f_grid, 0.0, knee)
         v_end = f(1.0)
         if v_end > vx:
-            return 1.0, v_end
+            return 1.0, float(v_end)
         return bx, vx
-    return _grid_refine_max(f, 0.0, 1.0)
+    return _grid_refine_max(f, f_grid, 0.0, 1.0)
+
+
+def _grid_loads(params, betas, literal_load_trigger):
+    """(n_n, n_r) on a bias grid from the scalar load model, NaN where the
+    load leaves its admissible domain; as in average_rate, a class with
+    zero weight is not evaluated."""
+    gc = params.gamma_c
+    loads = np.full((len(betas), 2), np.nan)
+    for k, b in enumerate(betas):
+        try:
+            if gc > 0.0:
+                loads[k, 0] = mean_load_near(params, b, literal_load_trigger)
+            if gc < 1.0:
+                loads[k, 1] = mean_load_far(params, b, literal_load_trigger)
+        except DomainError:
+            loads[k] = np.nan
+    return loads.T
 
 
 def optimal_bias_rate(params,
@@ -499,11 +637,17 @@ def optimal_bias_rate(params,
 
     In the lightly loaded regime (lambda_u/lambda_b < 1e-3) the load terms
     vanish and the rate optimum collapses onto the coverage optimum. Bias
-    values whose load model leaves the admissible domain are skipped.
+    values whose load model leaves the admissible domain are skipped, in
+    that regime too: when the rate at the coverage optimum is undefined,
+    the rate is maximized over the admissible biases.
     """
     if params.lambda_u / params.lambda_b < 1e-3:
         beta_s, _ = optimal_bias_coverage(params)
-        return beta_s, average_rate(params, beta_s, literal_load_trigger)
+        try:
+            return beta_s, float(average_rate(params, beta_s,
+                                              literal_load_trigger))
+        except DomainError:
+            pass
 
     def f(b):
         try:
@@ -511,7 +655,15 @@ def optimal_bias_rate(params,
         except DomainError:
             return -math.inf
 
-    beta_r, rate_r = _grid_refine_max(f, 0.0, 1.0)
+    def f_grid(betas):
+        s_n, s_r, e_n, e_r = _coverage_grid(params, betas)
+        n_n, n_r = _grid_loads(params, betas, literal_load_trigger)
+        undefined = np.isnan(_mix(params, n_n, n_r))
+        rate = _mixed_rate(params, s_n, n_n, s_r, n_r)
+        bound = _mixed_rate(params, e_n, n_n, e_r, n_r)
+        return np.where(undefined, -np.inf, rate), np.where(undefined, 0.0, bound)
+
+    beta_r, rate_r = _grid_refine_max(f, f_grid, 0.0, 1.0)
     if not math.isfinite(rate_r):
         raise DomainError("rate objective undefined across the whole bias range")
     return beta_r, rate_r

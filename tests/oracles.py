@@ -186,3 +186,22 @@ def band_integral(lo, hi, half_alpha):
         lambda s: 1.0 / (math.exp(-s) + math.exp((half_alpha - 1.0) * s)),
         math.log(lo), math.log(hi), epsabs=0.0, epsrel=1e-13, limit=500)
     return val
+
+
+def grid_refine_max(f, lo, hi, n_grid=201, tol=1e-4):
+    """The bias optimizer's scan with every grid point evaluated by `f`:
+    uniform grid, then golden-section refinement around the best cell.
+
+    Returns the better of the refined point and the best grid point.
+    """
+    from mmwlab.analytic import _golden_max
+
+    xs = np.linspace(lo, hi, n_grid)
+    vals = np.array([f(x) for x in xs])
+    i = int(np.argmax(vals))
+    a = xs[max(i - 1, 0)]
+    b = xs[min(i + 1, n_grid - 1)]
+    xr, vr = _golden_max(f, float(a), float(b), tol)
+    if vr > vals[i]:
+        return xr, vr
+    return float(xs[i]), float(vals[i])

@@ -6,6 +6,7 @@ plus their exact small-threshold limits (Monte Carlo cross-checks live in
 test_simulate.py and the acceptance suite).
 """
 
+import functools
 import math
 from dataclasses import fields
 
@@ -15,6 +16,7 @@ from scipy import integrate
 
 import mmwlab.analytic as A
 from mmwlab.scenario import ScenarioParams, params_for_city
+import oracles
 from oracles import band_integral
 
 P0 = ScenarioParams()  # 400 BS, 400 buildings 30x10, theta=pi/6, t=10
@@ -128,11 +130,17 @@ def test_c1_matches_quadrature():
         assert A._c1(x, lam) == pytest.approx(ref, abs=1e-12)
 
 
+def band_from_kernel(lo, hi, half_alpha):
+    f = A._band_antiderivative
+    return A._band(lo, hi, f(lo, half_alpha), f(hi, half_alpha))
+
+
 def test_band_integral_log_form_and_tails():
     # alpha = 2 closed form
-    assert A._band_integral(0.3, 7.0, 1.0) == pytest.approx(
+    assert band_from_kernel(0.3, 7.0, 1.0) == pytest.approx(
         math.log1p(7.0) - math.log1p(0.3), rel=1e-12)
-    assert A._band_integral(5.0, 5.0, 1.5) == 0.0
+    assert band_from_kernel(5.0, 5.0, 1.5) == 0.0
+    assert band_from_kernel(5.0, 4.0, 1.5) == 0.0
 
 
 @pytest.mark.parametrize("half_alpha", [1.25, 1.5, 2.0])
@@ -144,8 +152,13 @@ def test_band_integral_matches_quadrature_oracle(half_alpha):
         lo = 10.0 ** rng.uniform(-1.0, 1.0)
         bands.append((lo, lo * 10.0 ** rng.uniform(0.01, 6.0)))
     for lo, hi in bands:
-        assert A._band_integral(lo, hi, half_alpha) == pytest.approx(
+        assert band_from_kernel(lo, hi, half_alpha) == pytest.approx(
             band_integral(lo, hi, half_alpha), rel=1e-10)
+    # on arrays the kernel gives the same integrals, to rounding
+    lo, hi = np.array(bands).T
+    f = A._band_antiderivative
+    assert f(hi, half_alpha) - f(lo, half_alpha) == pytest.approx(
+        [band_integral(a, b, half_alpha) for a, b in bands], rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +314,132 @@ def test_optimal_bias_rate_interior_maximum_when_loaded():
     assert 0.0 < beta_r < 1.0
     assert rate_r >= A.average_rate(p, 0.0)
     assert rate_r >= A.average_rate(p, 1.0)
+
+
+def test_optimal_bias_rate_light_load_skips_an_inadmissible_optimum():
+    # the coverage optimum beta = 1 puts r_beta at 0, where the load model
+    # is undefined; the rate is then maximized over the admissible biases
+    p = P0.with_(lambda_u=0.04, gamma_c=0.0, theta=math.pi / 24)
+    assert A.optimal_bias_coverage(p)[0] == 1.0
+    with pytest.raises(A.DomainError):
+        A.average_rate(p, 1.0)
+    beta_r, rate_r = A.optimal_bias_rate(p)
+    assert 0.0 < beta_r < 1.0
+    assert A.effective_mainlobe_radius(A.los_distance(400.0, 30.0, 10.0),
+                                       p.theta, beta_r, p.d_l) > 0.0
+    assert rate_r == A.average_rate(p, beta_r)
+    assert rate_r >= A.average_rate(p, 0.0)
+
+
+BRANCHES = {
+    "refined": P0,
+    "grid-point": P0.with_(gamma_c=0.0),
+    "knee-endpoint": params_for_city("gangnam").with_(gamma_c=0.0),
+    "light-load": P0.with_(lambda_u=0.04),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_optimizers_return_python_floats(branch):
+    for solve in (A.optimal_bias_coverage, A.optimal_bias_rate):
+        beta_star, value = solve(BRANCHES[branch])
+        assert type(beta_star) is float and type(value) is float
+
+
+def _oracle_solve(monkeypatch, solve, p):
+    """solve(p) with every grid point evaluated adaptively."""
+    with monkeypatch.context() as m:
+        m.setattr(A, "_grid_refine_max",
+                  lambda f, f_grid, lo, hi: oracles.grid_refine_max(f, lo, hi))
+        return solve(p)
+
+
+def _criterion6_points():
+    crit3 = P0.with_(lambda_b=200.0, lambda_ell=200.0)
+    rng = np.random.default_rng(60)
+    return [crit3.with_(lambda_b=float(rng.uniform(150.0, 500.0)),
+                        lambda_ell=float(rng.uniform(250.0, 600.0)),
+                        lambda_u=float(rng.uniform(300.0, 1200.0)),
+                        gamma_c=float(rng.uniform(0.2, 0.8)),
+                        theta=float(rng.uniform(math.pi / 12, math.pi / 3)))
+            for _ in range(20)]
+
+
+ORACLE_CASES = {
+    f"{city}-theta{k}-gc{gc:g}": (
+        P0 if city == "default" else params_for_city(city)).with_(
+            theta=math.pi / k, gamma_c=gc)
+    for city in ("default", "gangnam", "chicago")
+    for k in (12, 3)        # theta = pi/12 puts the Gangnam and Chicago knees
+    for gc in (0.0, 0.6, 1.0)                              # inside [0, 1]
+}
+ORACLE_CASES.update({
+    "default-alpha3": P0.with_(alpha=3.0),
+    "default-alpha4-noise": P0.with_(alpha=4.0, include_noise=True),
+    "default-noise-weak-tx": P0.with_(include_noise=True, tx_power_dbm=-20.0),
+    "default-theta24": P0.with_(theta=math.pi / 24),   # rate grid with -inf
+})
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_optimizers_match_all_adaptive_scan_bit_for_bit(name, monkeypatch):
+    p = ORACLE_CASES[name]
+    # the objectives are deterministic, so the two scans may share them
+    for fn in ("coverage", "average_rate"):
+        monkeypatch.setattr(A, fn, functools.lru_cache(maxsize=None)(
+            getattr(A, fn)))
+    for solve in (A.optimal_bias_coverage, A.optimal_bias_rate):
+        assert solve(p) == _oracle_solve(monkeypatch, solve, p), solve.__name__
+
+
+def test_rate_optimizer_matches_all_adaptive_scan_at_criterion6_points(
+        monkeypatch):
+    monkeypatch.setattr(A, "average_rate", functools.lru_cache(maxsize=None)(
+        A.average_rate))
+    for p in _criterion6_points():
+        assert A.optimal_bias_rate(p) == _oracle_solve(
+            monkeypatch, A.optimal_bias_rate, p)
+
+
+def test_rate_grid_of_theta24_has_undefined_cells():
+    # guards the -inf case of the oracle comparison above
+    n_n, n_r = A._grid_loads(P0.with_(theta=math.pi / 24),
+                             np.linspace(0.0, 1.0, 201), False)
+    assert np.isnan(n_n).sum() > 50 and np.isfinite(n_n).sum() > 50
+
+
+@pytest.mark.parametrize("city", ["default", "gangnam", "chicago"])
+def test_coverage_grid_within_bound_of_adaptive(city):
+    base = P0 if city == "default" else params_for_city(city)
+    betas = np.linspace(0.0, 1.0, 6)
+    for alpha in (2.0, 2.5, 3.0, 4.0):
+        for theta in (math.pi / 24, math.pi / 6, math.pi / 3):
+            p = base.with_(alpha=alpha, theta=theta)
+            s_n, s_r, e_n, e_r = A._coverage_grid(p, betas)
+            for k, b in enumerate(betas):
+                assert abs(s_n[k] - A.coverage_near(p, b)) <= e_n[k]
+                assert abs(s_r[k] - A.coverage_far(p, b)) <= e_r[k]
+            # theta = pi/24 reaches r_beta = 0 inside the grid
+            if theta == math.pi / 24:
+                r_l = A.los_distance(p.lambda_ell, p.d_l, p.d_w)
+                assert A.effective_mainlobe_radius(r_l, theta, 1.0, p.d_l) == 0.0
+
+
+@pytest.mark.parametrize("solve", [A.optimal_bias_coverage, A.optimal_bias_rate])
+def test_nan_in_fixed_rule_at_winning_cell_keeps_optimum(solve, monkeypatch):
+    want = solve(P0)
+    # the winning cell is one of the two grid points around beta*
+    x = want[0] * (A._GRID_POINTS - 1)
+    cells = [math.floor(x), math.ceil(x)]
+    grid = A._coverage_grid
+
+    def broken(params, betas):
+        s_n, s_r, e_n, e_r = grid(params, betas)
+        s_n[cells] = s_r[cells] = np.nan
+        return s_n, s_r, e_n, e_r
+
+    monkeypatch.setattr(A, "_coverage_grid", broken)
+    assert solve(P0) == want
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,20 @@ def test_optimal_beta_uniform_users_pins_full_window(tmp_path):
     assert float(rec["beta_star"]) == 1.0
 
 
+def test_optimal_beta_rate_light_load_with_inadmissible_coverage_optimum(
+        tmp_path):
+    # valid scenario whose coverage optimum (beta = 1) leaves the load model
+    cfg = tmp_path / "light.cfg"
+    cfg.write_text(f"lambda_u = 0.04\ngamma_c = 0\ntheta = {math.pi / 24!r}\n")
+    code, out, err = run(["optimal-beta", "--config", str(cfg),
+                          "--objective", "rate"])
+    assert code == EXIT_OK, err
+    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+    rec = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert 0.0 < float(rec["beta_star"]) < 1.0
+    assert float(rec["value"]) > 0.0
+
+
 def test_simulate_reproducible_bytes(tmp_path):
     args = ["simulate", "--mode", "losball", "--drops", "12", "--seed", "3",
             "--rule", "building_aware"]
