@@ -476,9 +476,9 @@ _ADAPTIVE_SLACK = 128.0
 
 
 def _fixed_rule(g, lo, hi):
-    """Integrals of g over the panels [lo, hi] (arrays over the bias grid),
-    and the difference of the two rule orders. g maps radii of shape
-    (grid, nodes) to integrand values."""
+    """Integrals of g over the panels [lo, hi] (arrays over the bias grid,
+    or a float for all of it), and the difference of the two rule orders.
+    g maps radii of shape (grid, nodes) to integrand values."""
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     fine, coarse = (half * (g(mid[:, None] + half[:, None] * x) @ w)
                     for x, w in _GL_RULES)
@@ -501,7 +501,6 @@ def _coverage_grid(params, betas):
     r_b = np.array([effective_mainlobe_radius(r_l, params.theta, b, params.d_l)
                     for b in betas])
     r_1, r_eff = np.array([ring_radii(r_l, rb) for rb in r_b]).T
-    r_l_all = np.full_like(r_b, r_l)
     ha, t2a, p_a, gs_mult = _coverage_pieces(params)
     p_ell = region1_interferer_prob(params.theta, p_a)
     snr = _snr_survival(params)
@@ -509,15 +508,17 @@ def _coverage_grid(params, betas):
 
     def integral(c, panels):
         """sum over panels of int 2*c*r*exp(-c*r^2*(1 + bands))*snr(r) dr.
-        A panel is (lo, hi, band weights, outer band ends as radii); its
-        first band starts at u0 = 1/t^(2/alpha)."""
+        A panel is (lo, hi, band weights, outer band ends as radii, each an
+        array over the grid or a float); its first band starts at
+        u0 = 1/t^(2/alpha)."""
         total = err = 0.0
         for lo, hi, weights, ends in panels:
             def g(r):
                 rr_t = r * r * t2a
                 bands, f_prev = 0.0, f0
                 for wt, rho in zip(weights, ends):
-                    f = _band_antiderivative(rho[:, None] ** 2 / rr_t, ha)
+                    rho = np.reshape(rho, (-1, 1))
+                    f = _band_antiderivative(rho * rho / rr_t, ha)
                     bands = bands + wt * (f - f_prev)
                     f_prev = f
                 val = 2.0 * c * r * np.exp(-c * r * r * (1.0 + bands)) * snr(r)
@@ -527,15 +528,14 @@ def _coverage_grid(params, betas):
         s = np.clip(total, 0.0, 1.0)
         return s, err + _ADAPTIVE_SLACK * (_EPSABS + _EPSREL * s)
 
-    zero = np.zeros_like(r_b)
     with np.errstate(divide="ignore", invalid="ignore"):
         s_r, e_r = integral(math.pi * lam_b, [
-            (zero, r_b, (p_a * t2a, gs_mult), (r_b, r_l_all)),
-            (r_b, r_l_all, (gs_mult,), (r_l_all,))])
+            (0.0, r_b, (p_a * t2a, gs_mult), (r_b, r_l)),
+            (r_b, r_l, (gs_mult,), (r_l,))])
         s_n, e_n = integral(math.pi * lam_b / 2.0, [
-            (zero, r_1, (p_ell * t2a, p_a * t2a, gs_mult), (r_1, r_eff, r_l_all)),
-            (r_1, r_eff, (p_a * t2a, gs_mult), (r_eff, r_l_all)),
-            (r_eff, r_l_all, (gs_mult,), (r_l_all,))])
+            (0.0, r_1, (p_ell * t2a, p_a * t2a, gs_mult), (r_1, r_eff, r_l)),
+            (r_1, r_eff, (p_a * t2a, gs_mult), (r_eff, r_l)),
+            (r_eff, r_l, (gs_mult,), (r_l,))])
     return s_n, s_r, e_n, e_r
 
 
