@@ -21,6 +21,7 @@ linear gains); conversion to per-m^2 happens inside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -464,9 +465,27 @@ _GRID_POINTS = 201
 _GOLDEN_TOL = 1e-4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Gauss-Legendre nodes and weights on [-1, 1] of the grid scan's two fixed
-# rules: values come from the first, error estimates from the difference.
-_GL_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (48, 24))
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Newton's method on the Legendre recurrence. numpy's leggauss solves an
+    eigenvalue problem instead, whose first LAPACK call costs about 1 MB of
+    resident memory."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+@functools.cache
+def _gl_rules():
+    """The grid scan's two fixed rules, built on first use: values come
+    from the first, error estimates from the difference."""
+    return _gauss_legendre(48), _gauss_legendre(24)
 
 # The adaptive coverage_near can miss its tolerance where its interval
 # [r_1, r_l] straddles the kink at r_eff: by up to 166 tolerances, always
@@ -481,7 +500,7 @@ def _fixed_rule(g, lo, hi):
     g maps radii of shape (grid, nodes) to integrand values."""
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     fine, coarse = (half * (g(mid[:, None] + half[:, None] * x) @ w)
-                    for x, w in _GL_RULES)
+                    for x, w in _gl_rules())
     return fine, np.abs(fine - coarse)
 
 

@@ -408,6 +408,15 @@ def test_rate_grid_of_theta24_has_undefined_cells():
     assert np.isnan(n_n).sum() > 50 and np.isfinite(n_n).sum() > 50
 
 
+def test_gauss_legendre_rules_match_numpy():
+    for n in (1, 2, 24, 48):
+        x, w = A._gauss_legendre(n)
+        order = np.argsort(x)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert x[order] == pytest.approx(x_ref, abs=1e-15)
+        assert w[order] == pytest.approx(w_ref, rel=1e-13)
+
+
 @pytest.mark.parametrize("city", ["default", "gangnam", "chicago"])
 def test_coverage_grid_within_bound_of_adaptive(city):
     base = P0 if city == "default" else params_for_city(city)
