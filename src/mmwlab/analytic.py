@@ -487,10 +487,11 @@ def _gl_rules():
     from the first, error estimates from the difference."""
     return _gauss_legendre(48), _gauss_legendre(24)
 
+
 # The adaptive coverage_near can miss its tolerance where its interval
 # [r_1, r_l] straddles the kink at r_eff: by up to 166 tolerances, always
-# low, over 700 random scenarios. A grid comparison adds this slack on
-# both sides, so it covers such a miss.
+# low, over 700 random valid scenarios with alpha from 2 to 4.5. A grid
+# comparison adds this slack on both sides, so it covers such a miss.
 _ADAPTIVE_SLACK = 128.0
 
 

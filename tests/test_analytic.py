@@ -365,13 +365,14 @@ def _criterion6_points():
             for _ in range(20)]
 
 
+# theta = pi/12 puts the Gangnam and Chicago knees inside [0, 1]
 ORACLE_CASES = {
     f"{city}-theta{k}-gc{gc:g}": (
         P0 if city == "default" else params_for_city(city)).with_(
             theta=math.pi / k, gamma_c=gc)
     for city in ("default", "gangnam", "chicago")
-    for k in (12, 3)        # theta = pi/12 puts the Gangnam and Chicago knees
-    for gc in (0.0, 0.6, 1.0)                              # inside [0, 1]
+    for k in (12, 3)
+    for gc in (0.0, 0.6, 1.0)
 }
 ORACLE_CASES.update({
     "default-alpha3": P0.with_(alpha=3.0),
