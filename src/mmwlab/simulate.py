@@ -30,7 +30,8 @@ from .analytic import (DomainError, effective_mainlobe_radius, los_distance,
                        noise_power_dbm, region1_dbs_fraction, ring_radii,
                        ue_densities)
 from .association import (PATH_NONE, PATH_REFERENCE, Association, BsTable,
-                          associate_all, classify_many, schedule)
+                          _sq_distances, associate_all, classify_many,
+                          schedule)
 from .geometry import (Building, BuildingField, RegionClass, Window,
                        angular_offset, classify_point, los_to_many,
                        sample_buildings, sample_ppp)
@@ -343,8 +344,8 @@ def _disk_points(r_max: float, density_m2: float, upper_half: bool,
     return rad, ang
 
 
-def _realize_los_ball(params, seed: int, rng: np.random.Generator,
-                      keep_drop: bool) -> DropSample:
+def _realize_los_ball(params, seed: int,
+                      rng: np.random.Generator) -> DropSample:
     # Draw order (fixed): class coin, BS count/radii/angles, per-BS
     # alignment coins, per-BS fading, UE count/radii/angles.
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
@@ -397,8 +398,8 @@ def _realize_los_ball(params, seed: int, rng: np.random.Generator,
         bs_xy = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
         ue_xy = np.column_stack([ue_rad * np.cos(ue_ang),
                                  ue_rad * np.sin(ue_ang)])
-        d2 = ((ue_xy[:, None, :] - bs_xy[None, :, :]) ** 2).sum(axis=2)
-        n_cell = int(np.sum(np.argmin(d2, axis=1) == s))
+        nearest = np.argmin(_sq_distances(ue_xy, bs_xy), axis=1)
+        n_cell = int(np.sum(nearest == s))
     else:
         n_cell = 0
 
@@ -418,13 +419,14 @@ def realize(params, mode: SimMode = SimMode.FULL_GEOMETRY, seed: int = 0,
     """One drop. Deterministic given (params, mode, seed, rule).
 
     `window` overrides the FULL_GEOMETRY sampling window (default: half
-    width r_l with another r_l of margin); LOS_BALL ignores it.
+    width r_l with another r_l of margin). LOS_BALL ignores both `window`
+    and `keep_drop`; its samples never carry a Drop.
     """
     if association_rule not in (RULE_BUILDING_AWARE, RULE_MAX_RSRP):
         raise ValueError(f"unknown association rule {association_rule!r}")
     rng = np.random.default_rng(seed)
     if mode is SimMode.LOS_BALL:
-        return _realize_los_ball(params, seed, rng, keep_drop)
+        return _realize_los_ball(params, seed, rng)
     return _realize_full(params, seed, rng, association_rule, keep_drop,
                          window)
 

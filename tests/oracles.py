@@ -176,6 +176,17 @@ def in_discovery_cone(bs, boresight, discovery_range, ue):
     return off <= discovery_range / 2.0
 
 
+def sq_distances(ue_xy, bs_xy):
+    """(n_ue, n_bs) squared distances by one broadcast over both axes."""
+    return ((ue_xy[:, None, :] - bs_xy[None, :, :]) ** 2).sum(axis=2)
+
+
+def cell_load(ue_xy, bs_xy, s):
+    """Number of UEs whose nearest BS is column s; a UE equidistant from
+    several BSs goes to the smallest column, as `np.argmin` does."""
+    return int(np.sum(np.argmin(sq_distances(ue_xy, bs_xy), axis=1) == s))
+
+
 def band_integral(lo, hi, half_alpha):
     """int_lo^hi du / (1 + u^a) by adaptive quadrature in s = ln(u).
 

@@ -26,7 +26,7 @@ from mmwlab.association import (
 from mmwlab.geometry import Building, BuildingField, Window
 from mmwlab.scenario import ScenarioParams
 from mmwlab.simulate import RULE_BUILDING_AWARE, RULE_MAX_RSRP, SimMode, realize
-from oracles import classify_bs, in_discovery_cone, los_between
+from oracles import classify_bs, in_discovery_cone, los_between, sq_distances
 
 
 def random_scene(seed, n_buildings=14, n_bs=40, n_ue=70, span=200.0,
@@ -238,6 +238,28 @@ def test_full_engine_drops_with_two_bs_first_round_match_reference(seed):
     field, bs_xy, table, ue_xy = ring_scene(np.random.default_rng(seed),
                                             drop.field.buildings, seed % 4)
     check_rules_against_reference(ue_xy, bs_xy, table, field, new_stats())
+
+
+def test_sq_distances_match_broadcast_oracle_bit_for_bit():
+    rng = np.random.default_rng(9)
+    ue = rng.uniform(-300.0, 300.0, size=(300, 2))
+    bs = rng.uniform(-300.0, 300.0, size=(32, 2))
+    fast, ref = association._sq_distances(ue, bs), sq_distances(ue, bs)
+    assert fast.shape == ref.shape and fast.tobytes() == ref.tobytes()
+
+    # integer lattice: a UE at odd coordinates is equidistant from the
+    # four BSs on the even points around it
+    g = np.arange(-6.0, 7.0)
+    ue = np.column_stack([np.repeat(g, len(g)), np.tile(g, len(g))])
+    bs = ue[(ue[:, 0] % 2 == 0) & (ue[:, 1] % 2 == 0)][::-1]
+    fast, ref = association._sq_distances(ue, bs), sq_distances(ue, bs)
+    assert fast.tobytes() == ref.tobytes()
+    ties = np.sum(fast == fast.min(axis=1, keepdims=True), axis=1)
+    assert np.count_nonzero(ties == 4) > 20
+    nearest = np.argmin(fast, axis=1)
+    assert np.array_equal(nearest, np.argmin(ref, axis=1))
+    assert np.array_equal(nearest, [np.flatnonzero(r == r.min())[0]
+                                    for r in fast])
 
 
 def test_zero_bias_equals_plain_rsrp():

@@ -12,12 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from mmwlab.analytic import DomainError, coverage
+from mmwlab.analytic import DomainError, coverage, los_distance
 from mmwlab.geometry import Window
-from mmwlab.scenario import ScenarioParams
+from mmwlab.scenario import ScenarioParams, indoor_fraction, params_for_city
 from mmwlab.simulate import (RULE_BUILDING_AWARE, RULE_MAX_RSRP,
                              SIM_TRACE_COLUMNS, SimMode, estimate, realize,
                              sample_row)
+from oracles import cell_load
 
 SCALARS = ["seed", "mode", "typical_class", "path", "uncovered", "covered",
            "sir", "rate_bps", "n_cell", "n_interferers", "mainlobe_fraction",
@@ -193,6 +194,50 @@ def test_losball_tracks_closed_form_coverage():
     target = coverage(p, 0.4)
     tol = max(0.03, 3 * summary.coverage.stderr)
     assert abs(summary.coverage.mean - target) < tol
+
+
+def los_ball_scene(p, seed):
+    """(BS radii, BS xy, UE xy) of a LOS-ball drop, drawn again in the
+    documented order: class coin, BS count/radii/angles, alignment coins,
+    fading, UE count/radii/angles."""
+    r_l = los_distance(p.lambda_ell, p.d_l, p.d_w)
+    lam_ue = p.lambda_u * 1e-6 * (1.0 - indoor_fraction(p.lambda_ell, p.d_l,
+                                                        p.d_w))
+    rng = np.random.default_rng(seed)
+    half = bool(rng.random() < p.gamma_c)
+    area = math.pi * r_l * r_l * (0.5 if half else 1.0)
+
+    def disk(density_m2):
+        n = rng.poisson(density_m2 * area)
+        rad = r_l * np.sqrt(rng.uniform(0.0, 1.0, size=n))
+        ang = rng.uniform(0.0, math.pi if half else 2.0 * math.pi, size=n)
+        return rad, np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+
+    rad, bs_xy = disk(p.lambda_b * 1e-6)
+    rng.uniform(0.0, 1.0, size=len(rad))
+    rng.exponential(size=len(rad))
+    return rad, bs_xy, disk(lam_ue)[1]
+
+
+@pytest.mark.parametrize("p", [
+    ScenarioParams().with_(lambda_b=200.0, lambda_ell=200.0,
+                           theta=math.pi / 6, d_l=30.0, d_w=10.0, t=10.0,
+                           gamma_c=0.6, beta=0.5),
+    params_for_city("gangnam"),
+], ids=["criterion3", "gangnam"])
+def test_losball_cell_load_matches_oracle(p):
+    loaded = 0
+    for seed in range(1000, 1250):
+        rec = realize(p, SimMode.LOS_BALL, seed=seed)
+        rad, bs_xy, ue_xy = los_ball_scene(p, seed)
+        if len(rad) == 0:
+            assert rec.uncovered and rec.n_cell == 0
+            continue
+        s = int(np.argmin(rad))
+        assert rec.serving_distance == rad[s]
+        assert rec.n_cell == cell_load(ue_xy, bs_xy, s)
+        loaded += rec.n_cell > 0
+    assert loaded > 100
 
 
 def test_denser_network_covers_less_at_high_threshold():
