@@ -214,8 +214,8 @@ def los_ball_scene(p, seed):
         return rad, np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
 
     rad, bs_xy = disk(p.lambda_b * 1e-6)
-    rng.uniform(0.0, 1.0, size=len(rad))
-    rng.exponential(size=len(rad))
+    rng.uniform(0.0, 1.0, size=len(rad))  # alignment coins and fading,
+    rng.exponential(size=len(rad))        # drawn only to keep the order
     return rad, bs_xy, disk(lam_ue)[1]
 
 
