@@ -23,13 +23,38 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erf, hyp2f1
 
 from .scenario import _PER_KM2_TO_M2, band_fraction, indoor_fraction
+
+# scipy takes most of a fresh `import mmwlab`, and only the closed forms
+# below use it, so the drop engines never load it. `integrate`, `erf` and
+# `hyp2f1` are imported on first access through the module (PEP 562);
+# the kernels read them from `_module` at call time, so a replacement set
+# as a module attribute (the benchmark tracer's `integrate`) reaches them.
+_module = sys.modules[__name__]
+_SCIPY_NAMES = ("integrate", "erf", "hyp2f1")
+
+
+def __getattr__(name: str):
+    if name == "integrate":
+        from scipy import integrate as value
+    elif name in _SCIPY_NAMES:
+        import scipy.special
+        value = getattr(scipy.special, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def _load_scipy() -> None:
+    """Import the scipy names now, e.g. once before a process pool forks."""
+    for name in _SCIPY_NAMES:
+        getattr(_module, name)
 
 
 class DomainError(ValueError):
@@ -55,8 +80,8 @@ _EPSABS, _EPSREL = 1e-12, 1e-8
 def _quad(f, a: float, b: float) -> float:
     if b <= a:
         return 0.0
-    out = integrate.quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=200,
-                         full_output=1)
+    out = _module.integrate.quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL,
+                                 limit=200, full_output=1)
     if len(out) > 3:
         raise QuadratureError(
             f"quadrature did not converge on [{a:g}, {b:g}]; "
@@ -198,7 +223,7 @@ def _band_antiderivative(u, half_alpha: float):
     if half_alpha == 1.0:
         return _math(u).log1p(u)
     inv = 1.0 / half_alpha
-    return u * hyp2f1(1.0, inv, 1.0 + inv, -u ** half_alpha)
+    return u * _module.hyp2f1(1.0, inv, 1.0 + inv, -u ** half_alpha)
 
 
 def _band(lo: float, hi: float, f_lo, f_hi):
@@ -221,12 +246,6 @@ def _snr_survival(params):
     p_gm = 10.0 ** (params.tx_power_dbm / 10.0) * params.g_m
     alpha = params.alpha
     return lambda r: _math(r).exp(neg_t_sigma2 * r ** alpha / p_gm)
-
-
-def snr_factor(params, r: float) -> float:
-    """Rayleigh SNR survival exp(-t*sigma^2*r^alpha/(P*g_m)) at distance r;
-    1 when the scenario leaves noise out."""
-    return _snr_survival(params)(r)
 
 
 def _coverage_pieces(params):
@@ -396,7 +415,8 @@ def mean_load_far(params, beta: float, literal_load_trigger: bool = False) -> fl
 
 def _c1(x: float, lam_b: float) -> float:
     """int_0^x pi*lam_b*r^2*exp(-pi*lam_b*r^2/2) dr, closed form."""
-    return erf(x * math.sqrt(math.pi * lam_b / 2.0)) / math.sqrt(2.0 * lam_b) \
+    return _module.erf(x * math.sqrt(math.pi * lam_b / 2.0)) \
+        / math.sqrt(2.0 * lam_b) \
         - x * math.exp(-math.pi * lam_b * x * x / 2.0)
 
 

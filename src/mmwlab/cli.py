@@ -14,13 +14,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 from . import __version__
 from .analytic import (
     ANALYTIC_CSV_COLUMNS,
     DomainError,
+    _load_scipy,
     analytic_report,
     average_rate,
     los_distance,
@@ -241,6 +241,10 @@ def cmd_sweep(args) -> int:
              args.rate_gain)
             for i, value in enumerate(grid)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        if "analytic" in engines:
+            # once here, not once in every forked worker
+            _load_scipy()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -456,6 +455,7 @@ def estimate(params, mode: SimMode = SimMode.FULL_GEOMETRY,
     if workers is None or workers <= 1:
         records = [run(s) for s in seeds]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, n_drops // (workers * 8))
             records = list(pool.map(run, seeds, chunksize=chunk))
