@@ -133,11 +133,6 @@ class BuildingField:
         y = self.centers[owners, 1] + lu * sin + lv * cos
         return wall, np.stack([x, y], axis=-1)
 
-    def nearest_building(self, point) -> int:
-        """Index of the rectangle nearest to `point` (ties: smaller index)."""
-        pt = np.asarray(point, dtype=float).reshape(1, 2)
-        return int(self.nearest_building_many(pt)[0])
-
     def nearest_building_many(self, points: np.ndarray) -> np.ndarray:
         """Index of the nearest rectangle for each point (ties: smaller index).
 

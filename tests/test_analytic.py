@@ -211,11 +211,9 @@ def test_noise_reduces_coverage():
 
 
 def test_snr_factor_decays_with_distance():
-    p = P0.with_(include_noise=True)
-    s50 = A.snr_factor(p, 50.0)
-    s200 = A.snr_factor(p, 200.0)
-    assert s50 > s200 > 0.0
-    assert A.snr_factor(P0, 200.0) == 1.0
+    snr = A._snr_survival(P0.with_(include_noise=True))
+    assert snr(50.0) > snr(200.0) > 0.0
+    assert A._snr_survival(P0)(200.0) == 1.0
 
 
 def test_include_noise_governs_coverage_optimum():

@@ -158,7 +158,7 @@ def test_empty_field_classifies_far_and_raises_on_distances():
     with pytest.raises(EmptyFieldError):
         field.nearest_building_many(np.zeros((1, 2)))
     with pytest.raises(EmptyFieldError):
-        field.nearest_building((0.0, 0.0))
+        field.nearest_building_many((0.0, 0.0))
 
 
 def test_boundary_distaccording_to_manual_rectangle():
@@ -247,8 +247,8 @@ def test_nearest_building_ties_go_to_the_smaller_index():
         assert list(f.nearest_building_many(pts)) == [0, 0, 0, 0]
         assert list(nearest_buildings(f, pts)) == [0, 0, 0, 0]
     # off the line the nearer rectangle wins in either order
-    assert field.nearest_building((19.0, 300.0)) == 0
-    assert swapped.nearest_building((19.0, 300.0)) == 1
+    assert list(field.nearest_building_many((19.0, 300.0))) == [0]
+    assert list(swapped.nearest_building_many((19.0, 300.0))) == [1]
 
 
 def test_los_pairs_endpoint_contact_and_grazing_across_blocks():
