@@ -14,12 +14,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PRELUDE = """
-import os, sys, tempfile
+import sys
 import mmwlab, mmwlab.cli
 from mmwlab import ScenarioParams, SimMode, realize
 
 SCIPY = ("scipy.integrate", "scipy.special")
-OUT = os.path.join(tempfile.mkdtemp(), "out.csv")
+OUT = sys.argv[1]
 
 def loaded(names=SCIPY):
     return [m for m in names if m in sys.modules]
@@ -60,18 +60,18 @@ assert loaded() == list(SCIPY), "parent"
 """
 
 
-def run_fresh(script: str) -> None:
+def run_fresh(script: str, out: Path) -> None:
     env = {k: v for k, v in os.environ.items() if k != "MMWLAB_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
-def test_drops_and_drop_commands_never_load_scipy():
-    run_fresh(DROPS_AND_COMMANDS)
+def test_drops_and_drop_commands_never_load_scipy(tmp_path):
+    run_fresh(DROPS_AND_COMMANDS, tmp_path / "out.csv")
 
 
-def test_parallel_analytic_sweep_loads_scipy_in_the_parent():
-    run_fresh(ANALYTIC_SWEEP)
+def test_parallel_analytic_sweep_loads_scipy_in_the_parent(tmp_path):
+    run_fresh(ANALYTIC_SWEEP, tmp_path / "out.csv")
