@@ -52,6 +52,15 @@ CASES = {
     "simulate_losball": ["simulate", "--mode", "losball", "--drops", "40",
                          "--seed", "3", "--beta", "0.6", "--trace",
                          "{trace}"],
+    # the headline point: default scenario, building-aware rule, beta = 0.7
+    "simulate_full_default_b07": ["simulate", "--mode", "full", "--drops",
+                                  "12", "--seed", "9", "--beta", "0.7",
+                                  "--trace", "{trace}"],
+    # a beta sweep repeats the same rate-gain pair on every row
+    "sweep_gangnam_beta_rate_gain": ["sweep", "--city", "gangnam", "--key",
+                                     "beta", "--start", "0", "--stop", "1",
+                                     "--steps", "3", "--engines", "analytic",
+                                     "--rate-gain"],
 }
 
 
