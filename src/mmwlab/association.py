@@ -11,10 +11,12 @@ by walking each UE's BSs nearest-first in rank blocks of doubling width:
 first the BSs whose cone holds the UE, then the others, only for the UEs
 that no cone BS reaches.
 
-The BSs are one table held as arrays: positions in `bs_xy`, and boresight
-and discovery range in a `BsTable` with the same rows. `classify_many`
-fills the table in one batched pass; a BS is dedicated when its range is
-below 2*pi.
+The BSs are one table held as arrays: positions in `bs_xy`, and boresight,
+discovery range and nearest building in a `BsTable` with the same rows.
+`classify_many` fills the table in one batched pass; a BS is dedicated
+when its range is below 2*pi. Each LOS test of the walk clips first
+against the buildings the drop already knows next to its two ends: the
+BS's nearest one, and the one within d_c of a near UE.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class BsTable:
 
     boresight: np.ndarray        # [rad], toward the facing wall's midpoint
     discovery_range: np.ndarray  # [rad], full cone width; 2*pi when omni
+    building: np.ndarray | None = None  # nearest building, -1 with none
 
     @property
     def dedicated(self) -> np.ndarray:
@@ -57,9 +60,6 @@ class Association:
     def uncovered(self) -> np.ndarray:
         return self.serving == PATH_NONE
 
-    def ues_of(self, bs_index: int) -> np.ndarray:
-        return np.flatnonzero(self.serving == bs_index)
-
 
 def classify_many(bs_xy: np.ndarray, field: BuildingField, theta: float,
                   beta: float) -> BsTable:
@@ -70,17 +70,19 @@ def classify_many(bs_xy: np.ndarray, field: BuildingField, theta: float,
     (`BuildingField.facing_walls`, batched over every BS), and becomes
     dedicated when theta <= the angle the contracted wall subtends;
     beta=0 collapses the wall, so the scheme is off. The boresight
-    points at the wall's midpoint, for omni BSs as well.
+    points at the wall's midpoint, for omni BSs as well. The nearest
+    building stays in the table for the LOS tests of `associate_all`.
     """
     bs_xy = np.asarray(bs_xy, dtype=float).reshape(-1, 2)
     n = len(bs_xy)
     if len(field) == 0:
-        return BsTable(np.zeros(n), np.full(n, 2.0 * math.pi))
-    _, ends = field.facing_walls(bs_xy, field.nearest_building_many(bs_xy),
-                                 beta)
+        return BsTable(np.zeros(n), np.full(n, 2.0 * math.pi), np.full(n, -1))
+    nearest = field.nearest_building_many(bs_xy)
+    _, ends = field.facing_walls(bs_xy, nearest, beta)
     ang = np.arctan2(ends[..., 1] - bs_xy[:, 1], ends[..., 0] - bs_xy[:, 0])
     span = angular_offset(ang[0], ang[1])
-    return BsTable(ang[2], np.where(theta <= span, span, 2.0 * math.pi))
+    return BsTable(ang[2], np.where(theta <= span, span, 2.0 * math.pi),
+                   nearest)
 
 
 def _cone_mask(ue_xy: np.ndarray, bs_xy: np.ndarray,
@@ -110,7 +112,8 @@ def _sq_distances(ue_xy: np.ndarray, bs_xy: np.ndarray) -> np.ndarray:
 
 
 def _walk(d2: np.ndarray, ues: np.ndarray, ue_xy: np.ndarray,
-          bs_xy: np.ndarray, field: BuildingField) -> np.ndarray:
+          bs_xy: np.ndarray, field: BuildingField, ue_building: np.ndarray,
+          bs_building: np.ndarray) -> np.ndarray:
     """Column of the nearest LOS BS for each row, -1 where none is LOS.
 
     Row r of `d2` holds UE ues[r]'s squared distances, inf for a BS it may
@@ -120,7 +123,8 @@ def _walk(d2: np.ndarray, ues: np.ndarray, ue_xy: np.ndarray,
     smallest distance (ties at it included). One batched LOS test covers
     the block of every row still walking, and a row stops at its first
     block with a LOS BS: later blocks are strictly farther, and within
-    the block the nearest LOS BS wins, ties by BS index.
+    the block the nearest LOS BS wins, ties by BS index. The buildings
+    next to each UE and BS are the LOS tests' hints (`los_pairs`).
     """
     n_bs = d2.shape[1]
     win = np.full(len(d2), -1)
@@ -135,7 +139,9 @@ def _walk(d2: np.ndarray, ues: np.ndarray, ue_xy: np.ndarray,
             top = np.full(len(rows), np.inf)
         pu, pb = np.nonzero((sub > below[rows, None]) & (sub <= top[:, None])
                             & (sub < np.inf))
-        los = los_pairs(ue_xy[ues[rows[pu]]], bs_xy[pb], field)
+        u = ues[rows[pu]]
+        los = los_pairs(ue_xy[u], bs_xy[pb], field,
+                        (ue_building[u], bs_building[pb]))
         pu, pb = pu[los], pb[los]
         # lexsort is stable and pb ascends within a row: ties keep BS order
         order = np.lexsort((sub[pu, pb], pu))
@@ -148,7 +154,8 @@ def _walk(d2: np.ndarray, ues: np.ndarray, ue_xy: np.ndarray,
 
 
 def associate_all(ue_xy: np.ndarray, bs_xy: np.ndarray, bs_table: BsTable,
-                  field: BuildingField, use_cones: bool = True) -> Association:
+                  field: BuildingField, use_cones: bool = True,
+                  ue_building: np.ndarray | None = None) -> Association:
     """Associate every UE. Deterministic: no randomness, ties by BS index.
 
     Averaged RSRP with a common main-lobe gain makes the winner the
@@ -158,7 +165,10 @@ def associate_all(ue_xy: np.ndarray, bs_xy: np.ndarray, bs_table: BsTable,
     other BSs, whose nearest LOS one then hears their pilot (every cone
     BS of theirs is blocked). Row j of `bs_xy` and of `bs_table` is BS j.
     `use_cones=False` is the plain max-RSRP baseline (every BS
-    discoverable, no pilot phase; the table is not read).
+    discoverable, no pilot phase; the cones are not read).
+    `ue_building` names a building within d_c of each UE (-1 for none);
+    with the table's nearest buildings it only speeds up the LOS tests
+    and never changes the result.
     """
     ue_xy = np.atleast_2d(np.asarray(ue_xy, dtype=float))
     bs_xy = np.asarray(bs_xy, dtype=float).reshape(-1, 2)
@@ -168,12 +178,17 @@ def associate_all(ue_xy: np.ndarray, bs_xy: np.ndarray, bs_table: BsTable,
     if n_ue == 0 or n_bs == 0:
         return Association(serving, path)
 
+    if ue_building is None:
+        ue_building = np.full(n_ue, -1)
+    bs_building = bs_table.building
+    if bs_building is None:
+        bs_building = np.full(n_bs, -1)
     d2 = _sq_distances(ue_xy, bs_xy)
     if use_cones:
         cone = _cone_mask(ue_xy, bs_xy, bs_table)
         d2[~cone] = np.inf
     ues = np.arange(n_ue)
-    win = _walk(d2, ues, ue_xy, bs_xy, field)
+    win = _walk(d2, ues, ue_xy, bs_xy, field, ue_building, bs_building)
     hit = win >= 0
     serving[hit] = win[hit]
     path[hit] = PATH_REFERENCE
@@ -181,16 +196,29 @@ def associate_all(ue_xy: np.ndarray, bs_xy: np.ndarray, bs_table: BsTable,
         ues = np.flatnonzero(~hit)
         d2 = _sq_distances(ue_xy[ues], bs_xy)
         d2[cone[ues]] = np.inf
-        win = _walk(d2, ues, ue_xy, bs_xy, field)
+        win = _walk(d2, ues, ue_xy, bs_xy, field, ue_building, bs_building)
         hit = win >= 0
         serving[ues[hit]] = win[hit]
         path[ues[hit]] = PATH_PILOT
     return Association(serving, path)
 
 
-def schedule(bs_index: int, assoc: Association, rng: np.random.Generator) -> int | None:
-    """Uniformly pick the UE the BS serves this slot; None for empty cells."""
-    ues = assoc.ues_of(bs_index)
-    if len(ues) == 0:
-        return None
-    return int(ues[rng.integers(0, len(ues))])
+def schedule(assoc: Association, n_bs: int,
+             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(UE each BS serves this slot, UEs per BS), both by BS index.
+
+    Each nonempty cell picks one of its UEs, in index order, uniformly;
+    empty cells get -1. The picks are one array-valued draw over the
+    nonempty cells in BS order, which takes the same values from the
+    generator as one `rng.integers(0, count)` per cell in turn.
+    """
+    serving = assoc.serving
+    counts = np.bincount(serving[serving >= 0], minlength=n_bs)
+    target = np.full(n_bs, -1)
+    busy = np.flatnonzero(counts)
+    if len(busy):
+        # stable: uncovered UEs first, then each cell's UEs in index order
+        order = np.argsort(serving, kind="stable")
+        starts = np.cumsum(counts) - counts + (len(serving) - counts.sum())
+        target[busy] = order[starts[busy] + rng.integers(0, counts[busy])]
+    return target, counts

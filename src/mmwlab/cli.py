@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 config/flag error, 3 numeric failure, 4 output I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -183,6 +184,15 @@ def _sweep_grid(start: float, stop: float, steps: int) -> list[float]:
     return [start + width * i / (steps - 1) for i in range(steps)]
 
 
+@functools.lru_cache(maxsize=32)
+def _rate_gain(params: ScenarioParams, literal_loads: bool) -> float | None:
+    """rate(beta*) / rate(0). Neither rate reads params.beta, so callers
+    clear it and every row of a beta sweep shares one entry per process."""
+    _, rate_star = optimal_bias_rate(params, literal_load_trigger=literal_loads)
+    rate_zero = average_rate(params, 0.0, literal_load_trigger=literal_loads)
+    return rate_star / rate_zero if rate_zero > 0 else None
+
+
 def _sweep_point(job) -> list[list]:
     """All rows for one grid point. Module-level so pools can pickle it."""
     base, key, value, engines, drops, seed, literal_loads, want_gain = job
@@ -200,12 +210,8 @@ def _sweep_point(job) -> list[list]:
                 cells["coverage"] = report.s
                 cells["rate_bps"] = report.rate
                 if want_gain:
-                    _, rate_star = optimal_bias_rate(
-                        params, literal_load_trigger=literal_loads)
-                    rate_zero = average_rate(params, 0.0,
-                                             literal_load_trigger=literal_loads)
-                    cells["rate_gain"] = (rate_star / rate_zero
-                                          if rate_zero > 0 else None)
+                    cells["rate_gain"] = _rate_gain(params.with_(beta=0.0),
+                                                    literal_loads)
             else:
                 mode = (SimMode.FULL_GEOMETRY if engine == "sim-full"
                         else SimMode.LOS_BALL)

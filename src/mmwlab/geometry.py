@@ -210,23 +210,33 @@ class BuildingField:
         pos = np.arange(counts.sum()) + np.repeat(starts - first, counts)
         return np.repeat(point, counts), order[pos]
 
-    def near_indoor_masks(self, points: np.ndarray, d_c: float) -> tuple[np.ndarray, np.ndarray]:
-        """(within-d_c mask, indoor mask), grid-accelerated but exact.
+    def near_indoor_masks(self, points: np.ndarray,
+                          d_c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(within-d_c mask, indoor mask, building), grid-accelerated but
+        exact.
 
         Near means distance <= d_c to some rectangle's boundary. Indoor
         points have distance 0, so they are near as well; callers test
-        indoor first.
+        indoor first. `building` names one rectangle within d_c of each
+        near point (the first candidate of the cell join) and is -1
+        exactly where the point is not near.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         near = np.zeros(len(pts), dtype=bool)
         indoor = np.zeros(len(pts), dtype=bool)
+        building = np.full(len(pts), -1)
         if len(self) == 0 or len(pts) == 0:
-            return near, indoor
+            return near, indoor, building
         pt, b = self._candidates(pts, d_c)
         dist, inside = self._pair_distance(pts[pt], b)
-        near[pt[dist <= d_c]] = True
+        hit = dist <= d_c
+        pt_hit, b_hit = pt[hit], b[hit]
+        # pt ascends, so the first hit of each point starts a run
+        first = np.flatnonzero(np.diff(pt_hit, prepend=-1))
+        near[pt_hit] = True
+        building[pt_hit[first]] = b_hit[first]
         indoor[pt[inside]] = True
-        return near, indoor
+        return near, indoor, building
 
 
 def sample_ppp(window: Window, density_per_km2: float, rng: np.random.Generator) -> np.ndarray:
@@ -253,14 +263,39 @@ def sample_buildings(window: Window, params, rng: np.random.Generator) -> Buildi
 
 def classify_point(point, field: BuildingField, d_c: float) -> RegionClass:
     """RegionClass of one point: indoor, near (<= d_c of a wall), or far."""
-    near, indoor = field.near_indoor_masks(
+    near, indoor, _ = field.near_indoor_masks(
         np.asarray(point, dtype=float).reshape(1, 2), d_c)
     if indoor[0]:
         return RegionClass.INDOOR
     return RegionClass.NEAR if near[0] else RegionClass.FAR
 
 
-def los_pairs(ps: np.ndarray, qs: np.ndarray, field: BuildingField) -> np.ndarray:
+def _clip(ps: np.ndarray, qs: np.ndarray, field: BuildingField,
+          k: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Whether segment (ps[k], qs[k]) meets rectangle i, per pair, by a
+    slab clip in the rectangle's frame."""
+    up, vp = field._local(ps[k], i)
+    uq, vq = field._local(qs[k], i)
+    du = uq - up
+    dv = vq - vp
+    t0 = np.zeros(len(k))
+    t1 = np.ones(len(k))
+    alive = np.ones(len(k), dtype=bool)
+    for comp, half, p0c in ((du, field.half_l[i], up), (dv, field.half_w[i], vp)):
+        par = np.abs(comp) < 1e-15
+        alive &= ~(par & (np.abs(p0c) > half))
+        safe = np.where(par, 1.0, comp)
+        ta = (-half - p0c) / safe
+        tb = (half - p0c) / safe
+        lo_t = np.minimum(ta, tb)
+        hi_t = np.maximum(ta, tb)
+        t0 = np.where(par, t0, np.maximum(t0, lo_t))
+        t1 = np.where(par, t1, np.minimum(t1, hi_t))
+    return alive & (t0 <= t1) & (t1 > 0.0) & (t0 < 1.0)
+
+
+def los_pairs(ps: np.ndarray, qs: np.ndarray, field: BuildingField,
+              hints: tuple = ()) -> np.ndarray:
     """Line of sight for each segment (ps[k], qs[k]) of paired (n, 2) arrays.
 
     A segment is LOS iff its open interior meets no rectangle (interior or
@@ -269,6 +304,12 @@ def los_pairs(ps: np.ndarray, qs: np.ndarray, field: BuildingField) -> np.ndarra
     every rectangle at once by bounding boxes, and each surviving
     (segment, rectangle) pair is slab-clipped in the rectangle's frame.
     A single start point in `ps` is shared by every segment.
+
+    `hints` holds int arrays paired with the segments, each naming one
+    rectangle per segment (-1 for none), typically the one next to an
+    endpoint. Those pairs are screened and clipped first, and a segment
+    they block skips the full pass. A segment is blocked iff one of its
+    screened pairs clips, so the result does not depend on the hints.
     """
     ps = np.atleast_2d(np.asarray(ps, dtype=float))
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
@@ -282,41 +323,36 @@ def los_pairs(ps: np.ndarray, qs: np.ndarray, field: BuildingField) -> np.ndarra
     hi_xy = np.maximum(ps, qs)
     x_lo, y_lo = (field.centers - field.circum[:, None]).T.copy()
     x_hi, y_hi = (field.centers + field.circum[:, None]).T.copy()
-    for s in range(0, n, _LOS_BLOCK):
-        lo, hi = lo_xy[s:s + _LOS_BLOCK], hi_xy[s:s + _LOS_BLOCK]
+    todo = np.arange(n)
+    if len(hints):
+        # one screen and clip over every hint array at once
+        i = np.concatenate(hints)
+        k = np.tile(todo, len(hints))[i >= 0]
+        i = i[i >= 0]
+        box = ((lo_xy[k, 0] <= x_hi[i]) & (hi_xy[k, 0] >= x_lo[i])
+               & (lo_xy[k, 1] <= y_hi[i]) & (hi_xy[k, 1] >= y_lo[i]))
+        k, i = k[box], i[box]
+        blocked[k[_clip(ps, qs, field, k, i)]] = True
+        todo = np.flatnonzero(~blocked)
+    for s in range(0, len(todo), _LOS_BLOCK):
+        rows = todo[s:s + _LOS_BLOCK]
+        lo, hi = lo_xy[rows], hi_xy[rows]
         k, i = np.nonzero((lo[:, 0, None] <= x_hi) & (hi[:, 0, None] >= x_lo)
                           & (lo[:, 1, None] <= y_hi) & (hi[:, 1, None] >= y_lo))
         if len(k) == 0:
             continue
-        k += s
-        up, vp = field._local(ps[k], i)
-        uq, vq = field._local(qs[k], i)
-        du = uq - up
-        dv = vq - vp
-        t0 = np.zeros(len(k))
-        t1 = np.ones(len(k))
-        alive = np.ones(len(k), dtype=bool)
-        for comp, half, p0c in ((du, field.half_l[i], up), (dv, field.half_w[i], vp)):
-            par = np.abs(comp) < 1e-15
-            alive &= ~(par & (np.abs(p0c) > half))
-            safe = np.where(par, 1.0, comp)
-            ta = (-half - p0c) / safe
-            tb = (half - p0c) / safe
-            lo_t = np.minimum(ta, tb)
-            hi_t = np.maximum(ta, tb)
-            t0 = np.where(par, t0, np.maximum(t0, lo_t))
-            t1 = np.where(par, t1, np.minimum(t1, hi_t))
-        hit = alive & (t0 <= t1) & (t1 > 0.0) & (t0 < 1.0)
-        blocked[k[hit]] = True
+        k = rows[k]
+        blocked[k[_clip(ps, qs, field, k, i)]] = True
     same = (qs[:, 0] == ps[:, 0]) & (qs[:, 1] == ps[:, 1])
     return ~blocked | same
 
 
-def los_to_many(p, qs: np.ndarray, field: BuildingField) -> np.ndarray:
+def los_to_many(p, qs: np.ndarray, field: BuildingField,
+                hints: tuple = ()) -> np.ndarray:
     """los_pairs from one point to many endpoints."""
     p = np.asarray(p, dtype=float).reshape(1, 2)
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
-    return los_pairs(p, qs, field)
+    return los_pairs(p, qs, field, hints)
 
 
 def angular_offset(a, b):

@@ -236,7 +236,8 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
                   association_rule: str, keep_drop: bool,
                   window: Window | None) -> DropSample:
     # Draw order (fixed): class coin, conditioned field, BS process,
-    # near UE process, far UE process, fading, per-BS scheduling.
+    # near UE process, far UE process, fading, scheduling (one pick per
+    # nonempty cell, in BS order).
     if window is None:
         r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
         window = Window(half_width=r_l, margin=r_l)
@@ -257,32 +258,35 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
         field = BuildingField([])
 
     bs_all = sample_ppp(window, params.lambda_b, rng)
-    _, bs_indoor = field.near_indoor_masks(bs_all, params.d_c)
-    bs_xy = bs_all[~bs_indoor]  # indoor BSs are dead in this model
-    n_bs = len(bs_xy)
-
     cand_n = sample_ppp(window, lam_n, rng)
     cand_r = sample_ppp(window, lam_r, rng)
-    near_n, ind_n = field.near_indoor_masks(cand_n, params.d_c)
-    near_r, ind_r = field.near_indoor_masks(cand_r, params.d_c)
-    ue_xy = np.vstack([np.zeros((1, 2)),
-                       cand_n[near_n & ~ind_n],
-                       cand_r[~near_r & ~ind_r]])
+    # one mask pass over the BSs, the origin and both UE candidate sets
+    n_all = len(bs_all)
+    near, indoor, building = field.near_indoor_masks(
+        np.vstack([bs_all, np.zeros((1, 2)), cand_n, cand_r]), params.d_c)
+    bs_xy = bs_all[~indoor[:n_all]]  # indoor BSs are dead in this model
+    n_bs = len(bs_xy)
+    wants_near = np.arange(len(cand_n) + len(cand_r)) < len(cand_n)
+    ue_keep = np.concatenate([[True], (near[n_all + 1:] == wants_near)
+                              & ~indoor[n_all + 1:]])
+    ue_xy = np.vstack([np.zeros((1, 2)), cand_n, cand_r])[ue_keep]
+    ue_building = building[n_all:][ue_keep]  # -1 for every far UE
 
     bs_table = classify_many(bs_xy, field, params.theta, params.beta)
     assoc = associate_all(ue_xy, bs_xy, bs_table, field,
-                          use_cones=association_rule == RULE_BUILDING_AWARE)
+                          use_cones=association_rule == RULE_BUILDING_AWARE,
+                          ue_building=ue_building)
 
     fading = rng.exponential(size=n_bs)
 
+    target, load = schedule(assoc, n_bs, rng)
+    active = target >= 0
     beam_dir = np.full(n_bs, np.nan)
-    active = np.zeros(n_bs, dtype=bool)
-    for j in range(n_bs):
-        target = schedule(j, assoc, rng)
-        if target is not None:
-            active[j] = True
-            beam_dir[j] = math.atan2(ue_xy[target, 1] - bs_xy[j, 1],
-                                     ue_xy[target, 0] - bs_xy[j, 0])
+    busy = np.flatnonzero(active)
+    dy = ue_xy[target[busy], 1] - bs_xy[busy, 1]
+    dx = ue_xy[target[busy], 0] - bs_xy[busy, 0]
+    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
+    beam_dir[busy] = [math.atan2(y, x) for y, x in zip(dy.tolist(), dx.tolist())]
 
     s = int(assoc.serving[0])
     if s >= 0:
@@ -290,7 +294,9 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
         beam_dir[s] = math.atan2(-bs_xy[s, 1], -bs_xy[s, 0])
         active[s] = True
 
-    los0 = los_to_many((0.0, 0.0), bs_xy, field) if n_bs else np.zeros(0, bool)
+    los0 = (los_to_many((0.0, 0.0), bs_xy, field,
+                        (np.full(n_bs, ue_building[0]), bs_table.building))
+            if n_bs else np.zeros(0, bool))
 
     drop = None
     if keep_drop:
@@ -320,7 +326,7 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
         interf = 0.0
         mainlobe = math.nan
 
-    n_cell = len(assoc.ues_of(s)) - 1
+    n_cell = int(load[s]) - 1
     return _finish_sample(params, seed, mode, typical_class,
                           int(assoc.path[0]), r_s, sig, interf, n_cell,
                           len(idx), mainlobe, drop)

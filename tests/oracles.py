@@ -20,7 +20,7 @@ def to_local(field, points, i):
     return u, v
 
 
-def _distances_to(field, i, pts):
+def distances_to(field, i, pts):
     """(distance to rectangle i, inside mask) for each point."""
     u, v = to_local(field, pts, i)
     du = np.maximum(np.abs(u) - field.half_l[i], 0.0)
@@ -39,7 +39,7 @@ def boundary_distances(field, points):
     best = np.full(len(pts), np.inf)
     indoor = np.zeros(len(pts), dtype=bool)
     for i in range(len(field)):
-        dist, inside = _distances_to(field, i, pts)
+        dist, inside = distances_to(field, i, pts)
         best = np.minimum(best, dist)
         indoor |= inside
     return best, indoor
@@ -49,11 +49,11 @@ def nearest_buildings(field, points):
     """Index of the nearest rectangle for each point, visiting every
     rectangle; exact ties go to the smaller index."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = np.array([_distances_to(field, i, pts)[0] for i in range(len(field))])
+    dist = np.array([distances_to(field, i, pts)[0] for i in range(len(field))])
     return np.argmin(dist, axis=0)
 
 
-def _segment_blocked_by(field, i, p, q):
+def segment_blocked_by(field, i, p, q):
     """Open segment (p, q) vs solid rectangle i, via slab clipping."""
     up, vp = to_local(field, p[None, :], i)
     uq, vq = to_local(field, q[None, :], i)
@@ -84,7 +84,7 @@ def los_between(p, q, field):
     q = np.asarray(q, dtype=float)
     if np.array_equal(p, q):
         return True
-    return not any(_segment_blocked_by(field, i, p, q)
+    return not any(segment_blocked_by(field, i, p, q)
                    for i in range(len(field)))
 
 
@@ -185,6 +185,15 @@ def cell_load(ue_xy, bs_xy, s):
     """Number of UEs whose nearest BS is column s; a UE equidistant from
     several BSs goes to the smallest column, as `np.argmin` does."""
     return int(np.sum(np.argmin(sq_distances(ue_xy, bs_xy), axis=1) == s))
+
+
+def schedule_cell(bs_index, serving, rng):
+    """The UE BS `bs_index` serves this slot: one uniform draw over its
+    UEs in index order; None for an empty cell, which draws nothing."""
+    ues = np.flatnonzero(np.asarray(serving) == bs_index)
+    if len(ues) == 0:
+        return None
+    return int(ues[rng.integers(0, len(ues))])
 
 
 def band_integral(lo, hi, half_alpha):

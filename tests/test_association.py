@@ -7,6 +7,7 @@ engine must reproduce it exactly, including tie handling.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from mmwlab.association import (
 from mmwlab.geometry import Building, BuildingField, Window
 from mmwlab.scenario import ScenarioParams
 from mmwlab.simulate import RULE_BUILDING_AWARE, RULE_MAX_RSRP, SimMode, realize
-from oracles import classify_bs, in_discovery_cone, los_between, sq_distances
+from oracles import (classify_bs, in_discovery_cone, los_between,
+                     schedule_cell, sq_distances)
 
 
 def random_scene(seed, n_buildings=14, n_bs=40, n_ue=70, span=200.0,
@@ -74,10 +76,25 @@ def reference_associate(ue_xy, bs_xy, table, field, use_cones=True):
     return serving, path
 
 
+def associate_with_and_without_hints(ue_xy, bs_xy, table, field,
+                                     use_cones=True, d_c=5.0):
+    """associate_all without LOS hints, then with the hints of a drop
+    (each BS's nearest building, a building within d_c of each UE);
+    asserts that both agree and returns the hinted one."""
+    plain = associate_all(ue_xy, bs_xy, replace(table, building=None), field,
+                          use_cones=use_cones)
+    table = replace(table, building=field.nearest_building_many(bs_xy))
+    got = associate_all(ue_xy, bs_xy, table, field, use_cones=use_cones,
+                        ue_building=field.near_indoor_masks(ue_xy, d_c)[2])
+    assert np.array_equal(got.serving, plain.serving)
+    assert np.array_equal(got.path, plain.path)
+    return got
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_fast_engine_matches_reference(seed):
     field, table, bs_xy, ue_xy, params = random_scene(seed)
-    got = associate_all(ue_xy, bs_xy, table, field)
+    got = associate_with_and_without_hints(ue_xy, bs_xy, table, field)
     ref_serving, ref_path = reference_associate(ue_xy, bs_xy, table, field)
     assert np.array_equal(got.serving, ref_serving)
     # reference marks every cone hit as the reference path; the engine
@@ -164,7 +181,8 @@ def check_rules_against_reference(ue_xy, bs_xy, table, field, stats):
     """Both rules against the literal scan; tallies how the origin UE won."""
     for use_cones in (True, False):
         assert_ties_on_every_block_boundary(bs_xy, table, use_cones)
-        got = associate_all(ue_xy, bs_xy, table, field, use_cones=use_cones)
+        got = associate_with_and_without_hints(ue_xy, bs_xy, table, field,
+                                               use_cones=use_cones)
         ref_serving, ref_path = reference_associate(ue_xy, bs_xy, table,
                                                     field, use_cones=use_cones)
         assert np.array_equal(got.serving, ref_serving)
@@ -235,6 +253,10 @@ def test_full_engine_drops_with_two_bs_first_round_match_reference(seed):
         assert np.array_equal(drop.association.serving, ref_serving)
         if use_cones:
             assert np.array_equal(drop.association.path, ref_path)
+        got = associate_with_and_without_hints(
+            drop.ue_xy, drop.bs_xy, drop.bs_table, drop.field,
+            use_cones=use_cones, d_c=ScenarioParams().d_c)
+        assert np.array_equal(got.serving, ref_serving)
     field, bs_xy, table, ue_xy = ring_scene(np.random.default_rng(seed),
                                             drop.field.buildings, seed % 4)
     check_rules_against_reference(ue_xy, bs_xy, table, field, new_stats())
@@ -380,11 +402,61 @@ def test_association_helpers_and_schedule():
     assoc = Association(serving, path)
     assert assoc.n_ue == 4
     assert list(assoc.uncovered()) == [False, True, False, False]
-    assert list(assoc.ues_of(2)) == [0, 2]
     rng = np.random.default_rng(0)
-    picks = {schedule(2, assoc, rng) for _ in range(40)}
+    picks = set()
+    for _ in range(40):
+        target, counts = schedule(assoc, 6, rng)
+        assert list(counts) == [1, 0, 2, 0, 0, 0]
+        assert list(target[[0, 1, 3, 4, 5]]) == [3, -1, -1, -1, -1]
+        picks.add(int(target[2]))
     assert picks == {0, 2}
-    assert schedule(5, assoc, rng) is None
+
+
+def serving_cases(rng):
+    """(serving, n_bs): no UEs, every UE uncovered, one BS, then random
+    ones with empty cells between busy ones."""
+    yield np.zeros(0, dtype=int), 0
+    yield np.zeros(0, dtype=int), 3
+    yield np.full(7, PATH_NONE), 4
+    yield np.zeros(5, dtype=int), 1
+    yield np.array([PATH_NONE, 0, PATH_NONE, 0]), 1
+    for n_bs in (2, 9, 60):
+        for _ in range(30):
+            n_ue = int(rng.integers(0, 3 * n_bs))
+            used = rng.choice(n_bs, size=int(rng.integers(1, n_bs + 1)),
+                              replace=False)
+            serving = np.where(rng.random(n_ue) < 0.1, PATH_NONE,
+                               rng.choice(used, size=n_ue))
+            yield serving, n_bs
+
+
+def test_batched_schedule_matches_per_cell_draws():
+    rng = np.random.default_rng(17)
+    for serving, n_bs in serving_cases(rng):
+        path = np.where(serving >= 0, PATH_REFERENCE, PATH_NONE).astype(np.int8)
+        seed = int(rng.integers(2**32))
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        target, counts = schedule(Association(serving, path), n_bs, fast)
+        want = [schedule_cell(j, serving, slow) for j in range(n_bs)]
+        assert target.tolist() == [-1 if w is None else w for w in want]
+        assert counts.tolist() == [int(np.sum(serving == j))
+                                   for j in range(n_bs)]
+        # same generator state: the next draws agree
+        assert fast.integers(0, 2**62, size=3).tolist() == \
+            slow.integers(0, 2**62, size=3).tolist()
+
+
+def test_array_valued_integers_match_scalar_draws_past_2_31():
+    # what the batched schedule relies on, for bounds no cell reaches
+    rng = np.random.default_rng(23)
+    fixed = [np.array([2**31, 2**31 + 1, 2**32, 2**32 + 1, 2**62, 1, 3])]
+    for bounds in fixed + [rng.integers(1, 2 ** rng.integers(1, 63, size=n))
+                           for n in rng.integers(1, 12, size=300)]:
+        seed = int(rng.integers(2**32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = a.integers(0, bounds)
+        assert batch.tolist() == [int(b.integers(0, int(h))) for h in bounds]
+        assert a.random() == b.random()
 
 
 def test_uncovered_when_everything_blocked():

@@ -227,6 +227,28 @@ def test_sweep_rate_gain_column(tmp_path):
     assert all(g >= 1.0 for g in gains)  # optimum can't lose to beta=0
 
 
+def test_sweep_rate_gain_solves_once_per_beta_sweep(tmp_path, monkeypatch):
+    # neither rate of the gain reads beta, so one solve serves every row
+    solved = []
+    real = cli.optimal_bias_rate
+
+    def counted(params, **kwargs):
+        solved.append(params.beta)
+        return real(params, **kwargs)
+
+    monkeypatch.setattr(cli, "optimal_bias_rate", counted)
+    cli._rate_gain.cache_clear()
+    path = tmp_path / "beta_gain.csv"
+    code, _, _ = run(["sweep", "--key", "beta", "--start", "0", "--stop",
+                      "1", "--steps", "4", "--engines", "analytic",
+                      "--rate-gain", "--out", str(path)])
+    cli._rate_gain.cache_clear()
+    assert code == EXIT_OK
+    assert solved == [0.0]
+    _, header, rows = read_csv(path)
+    assert len({r[header.index("rate_gain")] for r in rows}) == 1
+
+
 def test_sweep_serial_parallel_identical(tmp_path):
     base = ["sweep", "--key", "gamma_c", "--start", "0.1", "--stop", "0.9",
             "--steps", "4", "--engines", "analytic,sim-losball",

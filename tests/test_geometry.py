@@ -25,9 +25,10 @@ from mmwlab.geometry import (
 )
 from mmwlab.association import classify_many
 from mmwlab.scenario import ScenarioParams
-from oracles import (boundary_distances, discovery_angle, facing_wall,
-                     los_between, nearest_buildings, point_segment_distance,
-                     to_local, walls)
+from oracles import (boundary_distances, discovery_angle, distances_to,
+                     facing_wall, los_between, nearest_buildings,
+                     point_segment_distance, segment_blocked_by, to_local,
+                     walls)
 
 
 def make_field(rng, n=12, span=220.0, d_l=30.0, d_w=10.0):
@@ -130,7 +131,7 @@ def test_boolean_field_indoor_fraction():
     for _ in range(10):
         field = sample_buildings(w, params, rng)
         pts = rng.uniform(-w.half_width, w.half_width, size=(4000, 2))
-        _, indoor = field.near_indoor_masks(pts, params.d_c)
+        _, indoor, _ = field.near_indoor_masks(pts, params.d_c)
         fractions.append(indoor.mean())
     assert abs(np.mean(fractions) - expected) < 0.015
 
@@ -153,8 +154,9 @@ def test_classify_points_banding():
 def test_empty_field_classifies_far_and_raises_on_distances():
     field = BuildingField([])
     assert classify_point((0.0, 0.0), field, 2.0) is RegionClass.FAR
-    near, indoor = field.near_indoor_masks(np.zeros((2, 2)), 2.0)
+    near, indoor, building = field.near_indoor_masks(np.zeros((2, 2)), 2.0)
     assert not near.any() and not indoor.any()
+    assert list(building) == [-1, -1]
     with pytest.raises(EmptyFieldError):
         field.nearest_building_many(np.zeros((1, 2)))
     with pytest.raises(EmptyFieldError):
@@ -174,7 +176,7 @@ def test_near_indoor_masks_match_boundary_distances():
     rng = np.random.default_rng(42)
     field = make_field(rng, n=25)
     pts = rng.uniform(-260, 260, size=(800, 2))
-    near, indoor = field.near_indoor_masks(pts, d_c=2.0)
+    near, indoor, _ = field.near_indoor_masks(pts, d_c=2.0)
     dist, indoor_ref = boundary_distances(field, pts)
     assert np.array_equal(indoor, indoor_ref)
     # `near` passes any point whose boundary distance is within d_c,
@@ -195,11 +197,12 @@ def test_batched_kernels_match_oracles_on_random_fields(lambda_ell):
     # points beyond the field too, so the nearest-building search widens
     pts = np.vstack([rng.uniform(-1.2 * half, 1.2 * half, size=(2000, 2)),
                      rng.uniform(-6.0 * half, 6.0 * half, size=(50, 2))])
-    near, indoor = field.near_indoor_masks(pts, 2.0)
+    near, indoor, _ = field.near_indoor_masks(pts, 2.0)
     dist, indoor_ref = boundary_distances(field, pts)
     assert np.array_equal(indoor, indoor_ref)
     assert np.array_equal(near, dist <= 2.0)
     assert indoor.any() and (near & ~indoor).any()
+    check_near_buildings(field, pts, 2.0)
     assert np.array_equal(field.nearest_building_many(pts),
                           nearest_buildings(field, pts))
     # more segments than one screening block, of every length
@@ -209,6 +212,69 @@ def test_batched_kernels_match_oracles_on_random_fields(lambda_ell):
     assert np.array_equal(flags, [los_between(p, q, field)
                                   for p, q in zip(ps, qs)])
     assert flags.any() and not flags.all()
+    # the buildings next to the ends block many segments on their own
+    ends = hint_sets(rng, field, ps, qs)["ends"]
+    assert sum(segment_blocked_by(field, i, p, q)
+               for p, q, i in zip(ps, qs, ends[1])) > 20
+    assert_hints_change_nothing(ps, qs, field, rng, flags)
+
+
+def check_near_buildings(field, pts, d_c):
+    """The building near_indoor_masks names for a point lies within d_c
+    of it by the oracle distance, and is -1 exactly where it is not near."""
+    near, _, building = field.near_indoor_masks(pts, d_c)
+    dist, _ = boundary_distances(field, pts)
+    assert np.array_equal(building >= 0, dist <= d_c)
+    assert np.array_equal(near, building >= 0)
+    for k in np.flatnonzero(near):
+        assert distances_to(field, building[k], pts[k])[0][0] <= d_c
+
+
+def test_near_indoor_masks_name_a_building_within_d_c():
+    rng = np.random.default_rng(8)
+    field = make_field(rng, n=30, span=120.0)
+    # points on every wall's normal at exactly d_c, and just past it
+    c, s = field.cos_o, field.sin_o
+    hl, hw = field.half_l, field.half_w
+    edge = []
+    for u, v in ((hl + 2.0, 0 * hl), (0 * hl, hw + 2.0), (-hl - 2.0, 0 * hl),
+                 (hl + 2.0 + 1e-9, 0 * hl), (hl + 2.0 / math.sqrt(2.0),
+                                              hw + 2.0 / math.sqrt(2.0))):
+        edge.append(field.centers + np.column_stack([u * c - v * s,
+                                                     u * s + v * c]))
+    pts = np.vstack(edge + [rng.uniform(-140.0, 140.0, size=(1500, 2))])
+    for d_c in (0.0, 2.0, 10.0):
+        check_near_buildings(field, pts, d_c)
+    # on the exactly representable corner field: exactly d_c away is near
+    field = corner_field()
+    pts = np.array([[0.0, 7.0], [17.0, 0.0], [15.0, 7.0], [0.0, 7.5],
+                    [20.0, 0.0], [23.0, 0.0], [0.0, 0.0], [40.0, -7.0]])
+    check_near_buildings(field, pts, 2.0)
+    assert list(field.near_indoor_masks(pts, 2.0)[2]) == [0, 0, 0, -1, -1,
+                                                          1, 0, 1]
+
+
+def hint_sets(rng, field, ps, qs):
+    """Hint arrays of every kind for los_pairs: the buildings next to
+    the two ends, random ones, none, wrong ones (another building than
+    the nearest), duplicated ones and a single array."""
+    n, m = len(qs), len(field)
+    near_p = field.nearest_building_many(ps)
+    near_q = field.nearest_building_many(qs)
+    return {
+        "ends": (near_p, near_q),
+        "random": (rng.integers(-1, m, size=n), rng.integers(-1, m, size=n)),
+        "none": (np.full(n, -1), np.full(n, -1)),
+        "wrong": ((near_p + rng.integers(1, m, size=n)) % m,
+                  (near_q + rng.integers(1, m, size=n)) % m),
+        "duplicated": (near_q, near_q, near_p, near_p),
+        "single": (near_q,),
+    }
+
+
+def assert_hints_change_nothing(ps, qs, field, rng, want):
+    for name, hints in hint_sets(rng, field, ps, qs).items():
+        assert np.array_equal(los_pairs(ps, qs, field, hints), want), name
 
 
 def corner_field():
@@ -225,7 +291,7 @@ def test_masks_and_nearest_on_edges_and_corners():
         [0.0, 7.0], [17.0, 0.0], [15.0, 7.0],                  # exactly d_c off
         [0.0, 7.5], [20.0, 0.0], [20.0, 8.0],                  # past d_c
     ])
-    near, indoor = field.near_indoor_masks(pts, 2.0)
+    near, indoor, _ = field.near_indoor_masks(pts, 2.0)
     dist, indoor_ref = boundary_distances(field, pts)
     assert list(indoor) == [True] * 4 + [False] * 6
     assert list(near) == [True] * 7 + [False] * 3
@@ -269,10 +335,15 @@ def test_los_pairs_endpoint_contact_and_grazing_across_blocks():
                         np.full((250, 1), -1.0)])
     # the special segments straddle the end of the first 256-segment block
     rows = np.vstack([filler, special, filler[:20]])
-    flags = los_pairs(rows[:, :2], rows[:, 2:4], field)
+    ps, qs = rows[:, :2], rows[:, 2:4]
+    flags = los_pairs(ps, qs, field)
     assert list(flags[250:258]) == [bool(x) for x in special[:, 4]]
-    assert np.array_equal(flags, [los_between(r[:2], r[2:4], field)
-                                  for r in rows])
+    assert np.array_equal(flags, [los_between(p, q, field)
+                                  for p, q in zip(ps, qs)])
+    assert_hints_change_nothing(ps, qs, field, rng, flags)
+    # hints naming both buildings: no blocked segment reaches the full pass
+    both = (np.zeros(len(rows), dtype=int), np.ones(len(rows), dtype=int))
+    assert np.array_equal(los_pairs(ps, qs, field, both), flags)
 
 
 
@@ -320,6 +391,10 @@ def test_los_pairs_matches_scalar():
         assert flags[i] == los_between(ps[i], qs[i], field)
     one = los_to_many(ps[0], qs, field)
     assert np.array_equal(one, [los_between(ps[0], q, field) for q in qs])
+    start = np.full(len(qs), field.nearest_building_many(ps[0])[0])
+    hinted = los_to_many(ps[0], qs, field,
+                         (start, field.nearest_building_many(qs)))
+    assert np.array_equal(hinted, one)
 
 
 def test_los_same_point_is_clear():
