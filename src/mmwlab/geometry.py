@@ -325,7 +325,8 @@ def los_pairs(ps: np.ndarray, qs: np.ndarray, field: BuildingField,
     x_hi, y_hi = (field.centers + field.circum[:, None]).T.copy()
     todo = np.arange(n)
     if len(hints):
-        # one screen and clip over every hint array at once
+        # one pass over all hint arrays, so the small arrays do not each
+        # pay numpy's per-call cost
         i = np.concatenate(hints)
         k = np.tile(todo, len(hints))[i >= 0]
         i = i[i >= 0]

@@ -260,16 +260,17 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
     bs_all = sample_ppp(window, params.lambda_b, rng)
     cand_n = sample_ppp(window, lam_n, rng)
     cand_r = sample_ppp(window, lam_r, rng)
-    # one mask pass over the BSs, the origin and both UE candidate sets
+    # one mask pass over the BSs, then the origin and both UE candidate sets
+    pts = np.vstack([bs_all, np.zeros((1, 2)), cand_n, cand_r])
+    near, indoor, building = field.near_indoor_masks(pts, params.d_c)
     n_all = len(bs_all)
-    near, indoor, building = field.near_indoor_masks(
-        np.vstack([bs_all, np.zeros((1, 2)), cand_n, cand_r]), params.d_c)
     bs_xy = bs_all[~indoor[:n_all]]  # indoor BSs are dead in this model
     n_bs = len(bs_xy)
-    wants_near = np.arange(len(cand_n) + len(cand_r)) < len(cand_n)
-    ue_keep = np.concatenate([[True], (near[n_all + 1:] == wants_near)
-                              & ~indoor[n_all + 1:]])
-    ue_xy = np.vstack([np.zeros((1, 2)), cand_n, cand_r])[ue_keep]
+    # the origin always; near candidates in the band, far ones outside it
+    ue_keep = ((near[n_all:] == (np.arange(len(pts) - n_all) <= len(cand_n)))
+               & ~indoor[n_all:])
+    ue_keep[0] = True
+    ue_xy = pts[n_all:][ue_keep]
     ue_building = building[n_all:][ue_keep]  # -1 for every far UE
 
     bs_table = classify_many(bs_xy, field, params.theta, params.beta)
