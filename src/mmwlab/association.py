@@ -37,11 +37,13 @@ _FIRST_BLOCK = 2  # BSs per UE in the first block of the nearest-first walk
 
 @dataclass(frozen=True)
 class BsTable:
-    """Discovery cone of each BS, by row of the BS position array."""
+    """Discovery cone and nearest building of each BS, by row of the BS
+    position array. `building` is -1 in a field with no buildings and
+    None when not known; the LOS tests then start from no BS building."""
 
     boresight: np.ndarray        # [rad], toward the facing wall's midpoint
     discovery_range: np.ndarray  # [rad], full cone width; 2*pi when omni
-    building: np.ndarray | None = None  # nearest building, -1 with none
+    building: np.ndarray | None = None
 
     @property
     def dedicated(self) -> np.ndarray:
