@@ -212,10 +212,9 @@ def test_batched_kernels_match_oracles_on_random_fields(lambda_ell):
     assert np.array_equal(flags, [los_between(p, q, field)
                                   for p, q in zip(ps, qs)])
     assert flags.any() and not flags.all()
-    # the buildings next to the ends block many segments on their own
-    ends = hint_sets(rng, field, ps, qs)["ends"]
-    assert sum(segment_blocked_by(field, i, p, q)
-               for p, q, i in zip(ps, qs, ends[1])) > 20
+    # the building next to an end blocks many segments on its own
+    assert sum(segment_blocked_by(field, i, p, q) for p, q, i
+               in zip(ps, qs, field.nearest_building_many(qs))) > 20
     assert_hints_change_nothing(ps, qs, field, rng, flags)
 
 
