@@ -16,8 +16,8 @@ from .analytic import (AnalyticReport, DomainError, InfiniteLosDistance,
                        optimal_bias_rate, ue_densities)
 from .association import (Association, BsTable, associate_all, classify_many,
                           schedule)
-from .geometry import (Building, BuildingField, EmptyFieldError, RegionClass,
-                       Window, classify_point, los_pairs, los_to_many,
+from .geometry import (BuildingField, EmptyFieldError, RegionClass, Window,
+                       classify_point, los_pairs, los_to_many,
                        sample_buildings, sample_ppp)
 from .scenario import (PRESETS, CityPreset, ConfigError, ScenarioParams,
                        ValidationOutcome, load_config, params_for_city,
@@ -28,8 +28,8 @@ from .simulate import (DropSample, EstimateSummary, MetricStats, SimMode,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticReport", "Association", "BsTable", "Building",
-    "BuildingField", "CityPreset", "ConfigError", "DomainError",
+    "AnalyticReport", "Association", "BsTable", "BuildingField",
+    "CityPreset", "ConfigError", "DomainError",
     "DropSample", "EmptyFieldError", "EstimateSummary", "MetricStats",
     "InfiniteLosDistance", "PRESETS", "QuadratureError", "RegionClass",
     "ScenarioParams", "SimMode", "ValidationOutcome", "Window",

@@ -38,12 +38,11 @@ _FIRST_BLOCK = 2  # BSs per UE in the first block of the nearest-first walk
 @dataclass(frozen=True)
 class BsTable:
     """Discovery cone and nearest building of each BS, by row of the BS
-    position array. `building` is -1 in a field with no buildings and
-    None when not known; the LOS tests then start from no BS building."""
+    position array. `building` is -1 in a field with no buildings."""
 
     boresight: np.ndarray        # [rad], toward the facing wall's midpoint
     discovery_range: np.ndarray  # [rad], full cone width; 2*pi when omni
-    building: np.ndarray | None = None
+    building: np.ndarray
 
     @property
     def dedicated(self) -> np.ndarray:
@@ -54,13 +53,6 @@ class BsTable:
 class Association:
     serving: np.ndarray  # BS index per UE, -1 when uncovered
     path: np.ndarray     # PATH_* per UE
-
-    @property
-    def n_ue(self) -> int:
-        return len(self.serving)
-
-    def uncovered(self) -> np.ndarray:
-        return self.serving == PATH_NONE
 
 
 def classify_many(bs_xy: np.ndarray, field: BuildingField, theta: float,
@@ -183,8 +175,6 @@ def associate_all(ue_xy: np.ndarray, bs_xy: np.ndarray, bs_table: BsTable,
     if ue_building is None:
         ue_building = np.full(n_ue, -1)
     bs_building = bs_table.building
-    if bs_building is None:
-        bs_building = np.full(n_bs, -1)
     d2 = _sq_distances(ue_xy, bs_xy)
     if use_cones:
         cone = _cone_mask(ue_xy, bs_xy, bs_table)

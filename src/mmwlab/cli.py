@@ -24,7 +24,6 @@ from .analytic import (
     _load_scipy,
     analytic_report,
     average_rate,
-    los_distance,
     optimal_bias_coverage,
     optimal_bias_rate,
 )
@@ -36,8 +35,8 @@ from .scenario import (
     params_for_city,
     validate,
 )
-from .simulate import (RULE_BUILDING_AWARE, RULE_MAX_RSRP, SimMode, estimate,
-                       format_cell)
+from .simulate import (RULE_BUILDING_AWARE, RULE_MAX_RSRP, SimMode,
+                       default_window, estimate, format_cell)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -149,7 +148,7 @@ def cmd_simulate(args) -> int:
     params = _resolve_params(args)
     mode = _MODES[args.mode]
     workers = _worker_count(args.workers)
-    r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
+    window = default_window(params)
     summary = estimate(params, mode=mode, n_drops=args.drops,
                        seed_base=args.seed, workers=workers,
                        trace_path=args.trace,
@@ -157,7 +156,8 @@ def cmd_simulate(args) -> int:
     lines = [
         _header("simulate", params, seed=args.seed, mode=args.mode,
                 rule=args.rule, drops=args.drops,
-                window_half_m=r_l, window_margin_m=r_l),
+                window_half_m=window.half_width,
+                window_margin_m=window.margin),
         "# note: base stations with no scheduled user stay silent, while the"
         " analytic model assumes every base station transmits",
         _row(SIM_SUMMARY_COLUMNS),

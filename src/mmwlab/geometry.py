@@ -52,31 +52,28 @@ class Window:
         return (2.0 * self.sample_half) ** 2
 
 
-@dataclass(frozen=True)
-class Building:
-    center: tuple[float, float]
-    length: float       # [m], along the local x axis
-    width: float        # [m], along the local y axis
-    orientation: float  # [rad], in [0, pi)
-
-
 class BuildingField:
-    """A finite realization of the rectangle field, in array form."""
+    """A finite realization of the rectangle field, in array form.
 
-    def __init__(self, buildings: list[Building]):
-        self.buildings = list(buildings)
-        n = len(self.buildings)
-        self.centers = np.array([b.center for b in self.buildings], dtype=float).reshape(n, 2)
-        self.half_l = np.array([b.length / 2.0 for b in self.buildings])
-        self.half_w = np.array([b.width / 2.0 for b in self.buildings])
+    Row i is the rectangle centered at centers[i], of length[i] along
+    its local x axis and width[i] along its local y axis, turned by
+    orientation[i] in [0, pi). A scalar length or width holds for every
+    row.
+    """
+
+    def __init__(self, centers, length, width, orientation):
+        self.centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+        n = len(self.centers)
+        self.orientation = np.asarray(orientation, dtype=float).reshape(n)
+        self.half_l = np.full(n, np.divide(length, 2.0))
+        self.half_w = np.full(n, np.divide(width, 2.0))
         self.circum = np.hypot(self.half_l, self.half_w)
-        ors = np.array([b.orientation for b in self.buildings])
-        self.cos_o = np.cos(ors) if n else np.zeros(0)
-        self.sin_o = np.sin(ors) if n else np.zeros(0)
+        self.cos_o = np.cos(self.orientation)
+        self.sin_o = np.sin(self.orientation)
         self._grids: dict[float, tuple] = {}
 
     def __len__(self) -> int:
-        return len(self.buildings)
+        return len(self.centers)
 
     def _local(self, points: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of each points[k] in building owners[k]'s axis frame."""
@@ -253,12 +250,8 @@ def sample_buildings(window: Window, params, rng: np.random.Generator) -> Buildi
     Every rectangle has the deterministic footprint d_l x d_w.
     """
     centers = sample_ppp(window, params.lambda_ell, rng)
-    n = len(centers)
-    orients = rng.uniform(0.0, math.pi, size=n)
-    return BuildingField([
-        Building((centers[i, 0], centers[i, 1]), params.d_l, params.d_w, orients[i])
-        for i in range(n)
-    ])
+    orients = rng.uniform(0.0, math.pi, size=len(centers))
+    return BuildingField(centers, params.d_l, params.d_w, orients)
 
 
 def classify_point(point, field: BuildingField, d_c: float) -> RegionClass:

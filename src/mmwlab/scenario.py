@@ -41,9 +41,6 @@ class ScenarioParams:
     def with_(self, **kwargs) -> "ScenarioParams":
         return replace(self, **kwargs)
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class ValidationOutcome:

@@ -31,9 +31,9 @@ from .analytic import (DomainError, effective_mainlobe_radius, los_distance,
 from .association import (PATH_NONE, PATH_REFERENCE, Association, BsTable,
                           _sq_distances, associate_all, classify_many,
                           schedule)
-from .geometry import (Building, BuildingField, RegionClass, Window,
-                       angular_offset, classify_point, los_to_many,
-                       sample_buildings, sample_ppp)
+from .geometry import (BuildingField, RegionClass, Window, angular_offset,
+                       classify_point, los_to_many, sample_buildings,
+                       sample_ppp)
 from .scenario import _PER_KM2_TO_M2, indoor_fraction
 
 RULE_BUILDING_AWARE = "building_aware"
@@ -159,6 +159,13 @@ _WALL_MIDS = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
 _MAX_FIELD_TRIES = 10000
 
 
+def default_window(params) -> Window:
+    """The full engine's sampling window: half width r_l, the mean LOS
+    distance, with another r_l of margin."""
+    r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
+    return Window(half_width=r_l, margin=r_l)
+
+
 def _host_field(params, window: Window, rng: np.random.Generator) -> BuildingField:
     """Rectangle field with a host building whose wall midpoint sits at the
     origin: a wall is chosen uniformly and the origin is placed a hair
@@ -172,9 +179,9 @@ def _host_field(params, window: Window, rng: np.random.Generator) -> BuildingFie
     py = ny * (hw + eps) if ny else 0.0
     c, s = math.cos(phi), math.sin(phi)
     center = (-(c * px - s * py), -(s * px + c * py))
-    host = Building(center, params.d_l, params.d_w, phi)
     rest = sample_buildings(window, params, rng)
-    return BuildingField([host] + rest.buildings)
+    return BuildingField(np.vstack([center, rest.centers]), params.d_l,
+                         params.d_w, np.r_[phi, rest.orientation])
 
 
 def _conditioned_field(params, window: Window, near_typical: bool,
@@ -239,8 +246,7 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
     # near UE process, far UE process, fading, scheduling (one pick per
     # nonempty cell, in BS order).
     if window is None:
-        r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
-        window = Window(half_width=r_l, margin=r_l)
+        window = default_window(params)
     if params.lambda_ell > 0:
         lam_n, lam_r = ue_densities(params.lambda_u, params.gamma_c,
                                     params.lambda_ell, params.d_l,
@@ -252,10 +258,7 @@ def _realize_full(params, seed: int, rng: np.random.Generator,
 
     near_typical = bool(rng.random() < params.gamma_c)
     typical_class = "near" if near_typical else "far"
-    if params.lambda_ell > 0:
-        field = _conditioned_field(params, window, near_typical, rng)
-    else:
-        field = BuildingField([])
+    field = _conditioned_field(params, window, near_typical, rng)
 
     bs_all = sample_ppp(window, params.lambda_b, rng)
     cand_n = sample_ppp(window, lam_n, rng)
@@ -424,9 +427,9 @@ def realize(params, mode: SimMode = SimMode.FULL_GEOMETRY, seed: int = 0,
             window: Window | None = None) -> DropSample:
     """One drop. Deterministic given (params, mode, seed, rule).
 
-    `window` overrides the FULL_GEOMETRY sampling window (default: half
-    width r_l with another r_l of margin). LOS_BALL ignores both `window`
-    and `keep_drop`; its samples never carry a Drop.
+    `window` overrides the FULL_GEOMETRY sampling window (default:
+    `default_window(params)`). LOS_BALL ignores both `window` and
+    `keep_drop`; its samples never carry a Drop.
     """
     if association_rule not in (RULE_BUILDING_AWARE, RULE_MAX_RSRP):
         raise ValueError(f"unknown association rule {association_rule!r}")

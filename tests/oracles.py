@@ -7,9 +7,36 @@ imports this module.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+
+from mmwlab.geometry import BuildingField
+
+
+@dataclass(frozen=True)
+class Building:
+    """One rectangle of the field, as the scalar oracles read it."""
+
+    center: tuple[float, float]
+    length: float       # [m], along the local x axis
+    width: float        # [m], along the local y axis
+    orientation: float  # [rad], in [0, pi)
+
+
+def field_of(buildings):
+    """BuildingField whose row i is buildings[i]."""
+    bl = list(buildings)
+    return BuildingField([b.center for b in bl], [b.length for b in bl],
+                         [b.width for b in bl], [b.orientation for b in bl])
+
+
+def buildings_of(field):
+    """The rows of a BuildingField as Buildings, in order."""
+    return [Building(tuple(c), 2.0 * hl, 2.0 * hw, o)
+            for c, hl, hw, o in zip(field.centers, field.half_l,
+                                    field.half_w, field.orientation)]
 
 
 def to_local(field, points, i):
@@ -153,7 +180,7 @@ def classify_bs(position, field, theta, beta):
     the angle it subtends, at least theta) or omni (range 2*pi)."""
     if len(field) == 0:
         return 0.0, 2.0 * math.pi
-    b = field.buildings[int(nearest_buildings(field, position)[0])]
+    b = buildings_of(field)[int(nearest_buildings(field, position)[0])]
     wall = walls(b)[facing_wall(position, b)]
     (x1, y1), (x2, y2) = wall
     bore = math.atan2((y1 + y2) / 2.0 - position[1],

@@ -3,9 +3,11 @@
 `mmwlab.__all__` is the package's public surface, and the benchmark's
 span tracer (bench/tracer.py) wraps layer functions at the names their
 callers look them up by. Both break quietly when a name moves, so both
-are checked here.
+are checked here, as is the line between the package and the scalar
+reference code in `tests/oracles.py`, which the package must not import.
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -17,7 +19,8 @@ import mmwlab.simulate
 from mmwlab.scenario import ScenarioParams
 from mmwlab.simulate import SimMode
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 # spans that full-geometry and LOS-ball drops plus a rate solve must record
 REACHED = {
@@ -37,6 +40,22 @@ REACHED = {
 def test_every_public_name_resolves():
     missing = [name for name in mmwlab.__all__ if not hasattr(mmwlab, name)]
     assert missing == []
+
+
+def test_package_never_imports_the_test_oracles():
+    # the scalar oracles (and the Building record) live only in tests/
+    bad = []
+    for path in sorted((ROOT / "src" / "mmwlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[0] in ("oracles", "tests") for n in names):
+                bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []
 
 
 def test_bench_tracer_installs_and_uninstalls():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from mmwlab.geometry import (
-    Building,
     BuildingField,
     EmptyFieldError,
     RegionClass,
@@ -25,10 +24,10 @@ from mmwlab.geometry import (
 )
 from mmwlab.association import classify_many
 from mmwlab.scenario import ScenarioParams
-from oracles import (boundary_distances, discovery_angle, distances_to,
-                     facing_wall, los_between, nearest_buildings,
-                     point_segment_distance, segment_blocked_by, to_local,
-                     walls)
+from oracles import (Building, boundary_distances, buildings_of,
+                     discovery_angle, distances_to, facing_wall, field_of,
+                     los_between, nearest_buildings, point_segment_distance,
+                     segment_blocked_by, to_local, walls)
 
 
 def make_field(rng, n=12, span=220.0, d_l=30.0, d_w=10.0):
@@ -36,7 +35,7 @@ def make_field(rng, n=12, span=220.0, d_l=30.0, d_w=10.0):
                    orientation=float(o))
           for (x, y), o in zip(rng.uniform(-span, span, size=(n, 2)),
                                rng.uniform(0.0, math.pi, size=n))]
-    return BuildingField(bl)
+    return field_of(bl)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,7 @@ OUT = [(5.0, -20.0), (40.0, -2.0), (5.0, 20.0), (-40.0, -2.0)]
 
 def test_building_corners_axis_aligned():
     # at beta=1 each facing wall runs counterclockwise between two corners
-    _, ends = facing(BuildingField([AXIS_ALIGNED]), OUT)
+    _, ends = facing(field_of([AXIS_ALIGNED]), OUT)
     cs = np.array([[-10.0, -7.0], [20.0, -7.0], [20.0, 3.0], [-10.0, 3.0]])
     assert ends[0] == pytest.approx(cs)
     assert ends[1] == pytest.approx(np.roll(cs, -1, axis=0))
@@ -73,7 +72,7 @@ def test_building_corners_axis_aligned():
 def test_wall_normals_point_outward():
     # walls 0..3 face -y, +x, +y and -x; beta contracts each about its
     # midpoint
-    field = BuildingField([AXIS_ALIGNED])
+    field = field_of([AXIS_ALIGNED])
     wall, ends = facing(field, OUT)
     assert list(wall) == [0, 1, 2, 3]
     assert ends[2] == pytest.approx(np.array([[5.0, -7.0], [20.0, -2.0],
@@ -85,7 +84,7 @@ def test_wall_normals_point_outward():
 
 def test_rotated_corners_preserve_shape():
     b = Building(center=(3.0, 4.0), length=24.0, width=8.0, orientation=1.1)
-    field = BuildingField([b])
+    field = field_of([b])
     # 100 m out along the local -y, +x, +y and -x axes
     dirs = b.orientation + np.array([-0.5, 0.0, 0.5, 1.0]) * math.pi
     wall, ends = facing(field, np.column_stack([3.0 + 100.0 * np.cos(dirs),
@@ -137,7 +136,7 @@ def test_boolean_field_indoor_fraction():
 
 
 def test_classify_points_banding():
-    field = BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
+    field = field_of([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
     pts = np.array([
         [0.0, 0.0],     # indoor
         [0.0, 6.0],     # 1 m off the long wall -> near
@@ -152,7 +151,7 @@ def test_classify_points_banding():
 
 
 def test_empty_field_classifies_far_and_raises_on_distances():
-    field = BuildingField([])
+    field = field_of([])
     assert classify_point((0.0, 0.0), field, 2.0) is RegionClass.FAR
     near, indoor, building = field.near_indoor_masks(np.zeros((2, 2)), 2.0)
     assert not near.any() and not indoor.any()
@@ -164,7 +163,7 @@ def test_empty_field_classifies_far_and_raises_on_distances():
 
 
 def test_boundary_distaccording_to_manual_rectangle():
-    field = BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
+    field = field_of([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
     pts = np.array([[20.0, 0.0], [0.0, 9.0], [18.0, 9.0], [1.0, 2.0]])
     for dist, indoor in (boundary_distances(field, pts),
                          field._pair_distance(pts, np.zeros(4, dtype=int))):
@@ -279,8 +278,8 @@ def assert_hints_change_nothing(ps, qs, field, rng, want):
 def corner_field():
     """Axis-aligned rectangles with exactly representable edges: a 30 x 10
     one on the origin and a copy 40 m to its right."""
-    return BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0),
-                          Building((40.0, 0.0), 30.0, 10.0, 0.0)])
+    return field_of([Building((0.0, 0.0), 30.0, 10.0, 0.0),
+                     Building((40.0, 0.0), 30.0, 10.0, 0.0)])
 
 
 def test_masks_and_nearest_on_edges_and_corners():
@@ -304,7 +303,8 @@ def test_masks_and_nearest_on_edges_and_corners():
 
 def test_nearest_building_ties_go_to_the_smaller_index():
     field = corner_field()
-    swapped = BuildingField(field.buildings[::-1])
+    swapped = BuildingField(field.centers[::-1], 2.0 * field.half_l[::-1],
+                            2.0 * field.half_w[::-1], field.orientation[::-1])
     # on the symmetry line x = 20, near and far away
     pts = np.array([[20.0, 0.0], [20.0, -30.0], [20.0, 900.0],
                     [20.0, -4000.0]])
@@ -406,7 +406,7 @@ def test_los_same_point_is_clear():
 def test_los_endpoint_inside_building_still_geometric():
     # A segment whose interior crosses a rectangle is blocked even if it
     # starts right at the wall.
-    field = BuildingField([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
+    field = field_of([Building((0.0, 0.0), 30.0, 10.0, 0.0)])
     assert not los_both((-20.0, 0.0), (20.0, 0.0), field)
     assert los_both((-20.0, 0.0), (-15.0, 0.0), field)
     assert los_both((0.0, 8.0), (10.0, 8.0), field)
@@ -432,8 +432,8 @@ CORNERS = (((1, -1), (0, 1)), ((1, 1), (1, 2)), ((-1, 1), (2, 3)),
 
 def assert_facing_matches_oracle(field, pts, owners):
     wall, _ = field.facing_walls(pts, owners, 1.0)
-    assert list(wall) == [facing_wall(p, field.buildings[i])
-                          for p, i in zip(pts, owners)]
+    bl = buildings_of(field)
+    assert list(wall) == [facing_wall(p, bl[i]) for p, i in zip(pts, owners)]
     return wall
 
 
@@ -444,7 +444,7 @@ def test_facing_wall_corner_ties_go_to_the_smaller_index():
     t = np.array([1e-3, 0.5, 3.0, 40.0, 700.0])
     for o in ORIENTATIONS:
         b = Building((12.0, -7.0), 30.0, 10.0, o)
-        field = BuildingField([b])
+        field = field_of([b])
         for sign, pair in CORNERS:
             uv = np.concatenate([np.column_stack([15.0 + t, 5.0 + t]),
                                  np.column_stack([15.0 + t, 5.0 + 0.2 * t]),
@@ -464,7 +464,7 @@ def test_facing_wall_on_wall_extension_lines():
     t = np.array([1e-3, 2.0, 60.0])
     for o in ORIENTATIONS:
         b = Building((-4.0, 9.0), 30.0, 10.0, o)
-        field = BuildingField([b])
+        field = field_of([b])
         for sign, pair in CORNERS:
             for hair in (1e-6, 0.0, -1e-6):
                 uv = np.concatenate([
@@ -486,12 +486,12 @@ def test_facing_wall_inside_or_on_the_rectangle_takes_the_nearest():
                    [0.0, -5.0], [15.0, 1.0], [-6.0, 5.0], [-15.0, -3.0]])
     for o in ORIENTATIONS:
         b = Building((7.0, 2.0), 30.0, 10.0, o)
-        field = BuildingField([b])
+        field = field_of([b])
         wall = assert_facing_matches_oracle(field, local_points(b, uv),
                                             np.zeros(len(uv), int))
         assert list(wall) == [2, 1, 0, 3, 0, 1, 2, 3]
     b = Building((7.0, 2.0), 30.0, 10.0, 0.0)
-    field = BuildingField([b])
+    field = field_of([b])
     cs = np.array([w[0] for w in walls(b)])
     wall = assert_facing_matches_oracle(field, cs, np.zeros(4, int))
     assert list(wall) == [0, 0, 1, 2]
@@ -505,13 +505,14 @@ def test_facing_walls_match_oracle_on_random_fields(lam):
     field = sample_buildings(Window(150.0, 20.0),
                              ScenarioParams(lambda_ell=lam), rng)
     pts = rng.uniform(-200.0, 200.0, size=(400, 2))
+    bl = buildings_of(field)
     for owners in (nearest_buildings(field, pts),
                    rng.integers(0, len(field), size=len(pts))):
         wall = assert_facing_matches_oracle(field, pts, owners)
         for beta in (0.0, 0.4, 1.0):
             _, ends = field.facing_walls(pts, owners, beta)
             for j in range(0, len(pts), 7):
-                (x1, y1), (x2, y2) = walls(field.buildings[owners[j]])[wall[j]]
+                (x1, y1), (x2, y2) = walls(bl[owners[j]])[wall[j]]
                 ref = [(((1 - beta) * x2 + (1 + beta) * x1) / 2,
                         ((1 - beta) * y2 + (1 + beta) * y1) / 2),
                        (((1 - beta) * x1 + (1 + beta) * x2) / 2,
@@ -527,17 +528,17 @@ def test_nearest_wall_brute_force():
     pts = rng.uniform(-240, 240, size=(200, 2))
     pts = pts[~boundary_distances(field, pts)[1]]
     wall, ends = field.facing_walls(pts, field.nearest_building_many(pts), 1.0)
+    bl = buildings_of(field)
     for j, p in enumerate(pts):
         d_pick = point_segment_distance(p, ends[0][j], ends[1][j])
         d_best = min(point_segment_distance(p, *w)
-                     for b in field.buildings for w in walls(b))
+                     for b in bl for w in walls(b))
         assert d_pick == pytest.approx(d_best, abs=1e-9)
         # the picked wall faces the point
         (mx, my), (ax, ay) = ends[2][j], ends[0][j]
         bx, by = ends[1][j]
         assert (p[0] - mx) * (by - ay) - (p[1] - my) * (bx - ax) > 0.0
-        assert wall[j] == facing_wall(p, field.buildings[
-            nearest_buildings(field, p)[0]])
+        assert wall[j] == facing_wall(p, bl[nearest_buildings(field, p)[0]])
 
 
 def spans(field, bs_xy, beta):
@@ -548,7 +549,7 @@ def spans(field, bs_xy, beta):
 
 def test_discovery_angle_perpendicular_case():
     b = Building((0.0, 0.0), 30.0, 10.0, 0.0)
-    field = BuildingField([b])
+    field = field_of([b])
     wall = walls(b)[0]                      # y = -5, from (-15,-5) to (15,-5)
     bs = (0.0, -45.0)                       # 40 m off the wall, on the bisector
     for beta in (1.0, 0.5, 0.25):
@@ -563,7 +564,7 @@ def test_discovery_angle_perpendicular_case():
 def test_discovery_angle_monotone_in_beta_and_wrap_safe():
     rng = np.random.default_rng(8)
     b = Building((0.0, 0.0), 30.0, 10.0, 0.6)
-    field = BuildingField([b])
+    field = field_of([b])
     ang = rng.uniform(0, 2 * math.pi, size=50)
     bs_xy = 120.0 * np.column_stack([np.cos(ang), np.sin(ang)])
     betas = np.linspace(0, 1, 9)

@@ -154,8 +154,3 @@ def test_with_returns_new_frozen_record():
     assert q.beta == 0.7 and p.beta == 0.0
     with pytest.raises(Exception):
         p.beta = 0.5  # frozen
-
-
-def test_as_dict_roundtrip():
-    p = ScenarioParams().with_(gamma_c=0.25, beta=0.4)
-    assert ScenarioParams(**p.as_dict()) == p

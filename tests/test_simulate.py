@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from mmwlab.analytic import DomainError, coverage, los_distance
-from mmwlab.geometry import Window
+from mmwlab.geometry import RegionClass, Window, classify_point
 from mmwlab.scenario import ScenarioParams, indoor_fraction, params_for_city
 from mmwlab.simulate import (RULE_BUILDING_AWARE, RULE_MAX_RSRP,
-                             SIM_TRACE_COLUMNS, SimMode, estimate, realize,
+                             SIM_TRACE_COLUMNS, SimMode, _conditioned_field,
+                             _host_field, default_window, estimate, realize,
                              sample_row)
-from oracles import cell_load
+from oracles import boundary_distances, buildings_of, cell_load, walls
 
 SCALARS = ["seed", "mode", "typical_class", "path", "uncovered", "covered",
            "sir", "rate_bps", "n_cell", "n_interferers", "mainlobe_fraction",
@@ -141,6 +142,43 @@ def test_empty_field_needs_uniform_users():
     p = ScenarioParams().with_(lambda_ell=0.0, gamma_c=0.5)
     with pytest.raises(DomainError):
         realize(p, SimMode.FULL_GEOMETRY, seed=0)
+
+
+@pytest.mark.parametrize("p", [ScenarioParams(), params_for_city("gangnam"),
+                               ScenarioParams(d_c=1e-3)],
+                         ids=["default", "gangnam", "thin_band"])
+def test_host_field_puts_the_origin_just_outside_a_wall_midpoint(p):
+    # row 0 is the host; the origin sits min(1e-3, d_c/2) out from the
+    # midpoint of one of its walls, along that wall's outward normal
+    window = default_window(p)
+    eps = min(1e-3, p.d_c / 2.0)
+    origin = np.zeros((1, 2))
+    for seed in range(8):
+        field = _host_field(p, window, np.random.default_rng(seed))
+        assert 2.0 * field.half_l[0] == p.d_l and 2.0 * field.half_w[0] == p.d_w
+        miss = []
+        for (ax, ay), (bx, by) in walls(buildings_of(field)[0]):
+            normal = np.array([by - ay, ax - bx]) / math.hypot(bx - ax, by - ay)
+            mid = np.array([(ax + bx) / 2.0, (ay + by) / 2.0])
+            miss.append(np.hypot(*(mid + eps * normal)))
+        assert min(miss) < 1e-9
+        # near, unless another rectangle happens to hold the origin
+        want = (RegionClass.INDOOR if boundary_distances(field, origin)[1][0]
+                else RegionClass.NEAR)
+        assert classify_point((0.0, 0.0), field, p.d_c) == want
+        field = _conditioned_field(p, window, True,
+                                   np.random.default_rng(seed))
+        assert 2.0 * field.half_l[0] == p.d_l and 2.0 * field.half_w[0] == p.d_w
+        assert classify_point((0.0, 0.0), field, p.d_c) == RegionClass.NEAR
+
+
+def test_drop_without_buildings_has_an_empty_field():
+    p = ScenarioParams().with_(lambda_ell=0.0, gamma_c=0.0)
+    for seed in range(3):
+        drop = realize(p, SimMode.FULL_GEOMETRY, seed=seed, keep_drop=True,
+                       window=Window(100.0, 20.0)).drop
+        assert len(drop.field) == 0 and drop.field.centers.shape == (0, 2)
+        assert (drop.bs_table.building == -1).all()
 
 
 def test_single_bs_sees_infinite_sir():
