@@ -7,13 +7,15 @@ wall ("dedicated" BSs), which thins main-lobe interference for everyone
 else. All closed forms below assume the mean-LOS-disk approximation of the
 blockage process.
 
-Coverage is one adaptive quadrature over the serving distance; the
-interference band integral inside it is closed form (an exact log at
-alpha = 2, a Gauss hypergeometric function otherwise). The bias optimizers
-scan their grid with fixed Gauss-Legendre rules on arrays, built on the
-same band antiderivative, and re-evaluate adaptively only the grid points
-whose error bounds leave them in contention. `include_noise` alone
-decides SIR or SINR, for coverage, rate and both bias optimizers.
+Coverage is written once, as a table of panels over the serving distance
+with the rings of interferers each one sees (`_coverage_panels`); one
+integrand sums their bands, whose integral is closed form (an exact log at
+alpha = 2, a Gauss hypergeometric function otherwise). Each returned
+coverage is adaptive quadrature over the panels. The bias optimizers scan
+their grid through the same table and integrand with fixed Gauss-Legendre
+rules on arrays, and re-evaluate adaptively only the grid points whose
+error bounds leave them in contention. `include_noise` alone decides SIR
+or SINR, for coverage, rate and both bias optimizers.
 
 Inputs use the ScenarioParams units (densities per km^2, meters, radians,
 linear gains); conversion to per-m^2 happens inside.
@@ -135,8 +137,10 @@ def ring_radii(r_l: float, r_b: float) -> tuple[float, float]:
 
     BSs within r_1 may be dedicated to the UE's own wall; between r_1 and
     r_eff interferers are beam-thinned; beyond r_eff only side lobes reach
-    the UE.
+    the UE. r_b may be an array, and then so are both radii.
     """
+    if isinstance(r_b, np.ndarray):
+        return np.minimum(r_l - r_b, r_l / 2.0), np.maximum(r_b, r_l / 2.0)
     return min(r_l - r_b, r_l / 2.0), max(r_b, r_l / 2.0)
 
 
@@ -226,11 +230,6 @@ def _band_antiderivative(u, half_alpha: float):
     return u * _module.hyp2f1(1.0, inv, 1.0 + inv, -u ** half_alpha)
 
 
-def _band(lo: float, hi: float, f_lo, f_hi):
-    """Band integral from the antiderivative at its ends; 0 if hi <= lo."""
-    return f_hi - f_lo if hi > lo else 0.0
-
-
 def noise_power_dbm(params) -> float:
     """Thermal noise power over the system bandwidth, with noise figure."""
     return -174.0 + 10.0 * math.log10(params.bandwidth_w) + params.noise_figure_db
@@ -257,6 +256,80 @@ def _coverage_pieces(params):
     return params.alpha / 2.0, t2a, p_a, gs_mult
 
 
+def _coverage_panels(params, r_l, r_b):
+    """The coverage model as a table: ((c, panels) of the near class,
+    (c, panels) of the far class). A class's coverage is the sum over its
+    panels (lo, hi, band weights, band ends) of the integral from lo to hi
+    of _integrand(params, c, weights, ends); the panels split r at ring
+    edges. r_b is a float, or a column of a bias grid's r_beta."""
+    lam_b = params.lambda_b * _PER_KM2_TO_M2
+    _, t2a, p_a, gs_mult = _coverage_pieces(params)
+    p_ell = region1_interferer_prob(params.theta, p_a)
+    r_1, r_eff = ring_radii(r_l, r_b)
+    near = (math.pi / 2.0 * lam_b, [
+        (0.0, r_1, (p_ell * t2a, p_a * t2a, gs_mult), (r_1, r_eff, r_l)),
+        (r_1, r_l, (p_a * t2a, gs_mult), (r_eff, r_l))])
+    far = (math.pi * lam_b, [
+        (0.0, r_b, (p_a * t2a, gs_mult), (r_b, r_l)),
+        (r_b, r_l, (gs_mult,), (r_l,))])
+    return near, far
+
+
+def _integrand(params, c, weights, ends):
+    """r -> 2*c*r*exp(-c*r^2*(1 + bands))*snr(r), 0 at r <= 0: one panel's
+    coverage integrand, on a float for quad (with the math module's bits)
+    or on an array for the fixed rules. Band k adds weights[k] times the
+    band integral from the end of band k-1 (u0 = 1/t^(2/alpha) for the
+    first) to max(ends[k], r)^2/(r^2*t^(2/alpha)), or nothing if that end
+    does not pass its start."""
+    ha, t2a, _, _ = _coverage_pieces(params)
+    snr = _snr_survival(params)
+    u0 = 1.0 / t2a
+    f0 = _band_antiderivative(u0, ha)
+    bands_of = [(w, rho * rho) for w, rho in zip(weights, ends)]
+    two_c, neg_c = 2.0 * c, -c
+
+    def on_array(r):
+        rr = r * r
+        rr_t = rr * t2a
+        bands, u_lo, f_lo = 0.0, u0, f0
+        for w, sq in bands_of:
+            u = np.maximum(sq, rr) / rr_t
+            f = _band_antiderivative(u, ha)
+            bands = bands + w * np.where(u > u_lo, f - f_lo, 0.0)
+            u_lo, f_lo = u, f
+        val = two_c * r * np.exp(neg_c * rr * (1.0 + bands)) * snr(r)
+        return np.where(r > 0.0, val, 0.0)
+
+    log, log1p = ha == 1.0, math.log1p
+
+    def g(r):
+        if isinstance(r, np.ndarray):
+            return on_array(r)
+        if r <= 0.0:
+            return 0.0
+        rr = r * r
+        rr_t = rr * t2a
+        bands, u_lo, f_lo = 0.0, u0, f0
+        for w, sq in bands_of:
+            u = (sq if sq > rr else rr) / rr_t
+            # math.log1p itself at alpha = 2 keeps the float branch cheap
+            f = log1p(u) if log else _band_antiderivative(u, ha)
+            if u > u_lo:
+                bands += w * (f - f_lo)
+            u_lo, f_lo = u, f
+        return two_c * r * math.exp(neg_c * rr * (1.0 + bands)) * snr(r)
+
+    return g
+
+
+def _adaptive_coverage(params, c, panels) -> float:
+    """A class's coverage from its panels by quad, clamped to [0, 1]."""
+    val = sum(_quad(_integrand(params, c, weights, ends), lo, hi)
+              for lo, hi, weights, ends in panels)
+    return min(max(val, 0.0), 1.0)
+
+
 def coverage_far(params, beta: float) -> float:
     """Coverage P(SINR > t) of a typical open-space UE, clamped to [0, 1].
 
@@ -264,31 +337,9 @@ def coverage_far(params, beta: float) -> float:
     than the dedicated-BS radius are beam-thinned, farther ones are
     side-lobe only.
     """
-    r_l, r_b, lam_b = _radii(params, beta)
-    ha, t2a, p_a, gs_mult = _coverage_pieces(params)
-    snr = _snr_survival(params)
-
-    u0 = 1.0 / t2a
-    f0 = _band_antiderivative(u0, ha)
-
-    def inner(r):
-        if r <= 0.0:
-            return 0.0
-        u_edge = r_l * r_l / (r * r * t2a)
-        f_edge = _band_antiderivative(u_edge, ha)
-        if r <= r_b:
-            u_b = r_b * r_b / (r * r * t2a)
-            f_b = _band_antiderivative(u_b, ha)
-            bands = p_a * t2a * _band(u0, u_b, f0, f_b) \
-                + gs_mult * _band(u_b, u_edge, f_b, f_edge)
-        else:
-            bands = gs_mult * _band(u0, u_edge, f0, f_edge)
-        return 2.0 * math.pi * lam_b * r \
-            * math.exp(-math.pi * lam_b * r * r * (1.0 + bands)) \
-            * snr(r)
-
-    val = _quad(inner, 0.0, r_b) + _quad(inner, r_b, r_l)
-    return min(max(val, 0.0), 1.0)
+    r_l, r_b, _ = _radii(params, beta)
+    _, (c, panels) = _coverage_panels(params, r_l, r_b)
+    return _adaptive_coverage(params, c, panels)
 
 
 def coverage_near(params, beta: float) -> float:
@@ -299,38 +350,9 @@ def coverage_near(params, beta: float) -> float:
     probability p_ell); the middle ring is beam-thinned; the far ring is
     side-lobe only.
     """
-    r_l, r_b, lam_b = _radii(params, beta)
-    ha, t2a, p_a, gs_mult = _coverage_pieces(params)
-    snr = _snr_survival(params)
-    r_1, r_eff = ring_radii(r_l, r_b)
-    p_ell = region1_interferer_prob(params.theta, p_a)
-
-    u0 = 1.0 / t2a
-    f0 = _band_antiderivative(u0, ha)
-
-    def inner(r):
-        if r <= 0.0:
-            return 0.0
-        rr = r * r
-        u1 = max(r_eff * r_eff, rr) / (rr * t2a)
-        u_edge = r_l * r_l / (rr * t2a)
-        f1 = _band_antiderivative(u1, ha)
-        f_edge = _band_antiderivative(u_edge, ha)
-        if r <= r_1:
-            u2 = r_1 * r_1 / (rr * t2a)
-            f2 = _band_antiderivative(u2, ha)
-            bands = p_ell * t2a * _band(u0, u2, f0, f2) \
-                + p_a * t2a * _band(u2, u1, f2, f1) \
-                + gs_mult * _band(u1, u_edge, f1, f_edge)
-        else:
-            bands = p_a * t2a * _band(u0, u1, f0, f1) \
-                + gs_mult * _band(u1, u_edge, f1, f_edge)
-        return math.pi * lam_b * r \
-            * math.exp(-(math.pi / 2.0) * lam_b * rr * (1.0 + bands)) \
-            * snr(r)
-
-    val = _quad(inner, 0.0, r_1) + _quad(inner, r_1, r_l)
-    return min(max(val, 0.0), 1.0)
+    r_l, r_b, _ = _radii(params, beta)
+    (c, panels), _ = _coverage_panels(params, r_l, r_b)
+    return _adaptive_coverage(params, c, panels)
 
 
 def _mix(params, x_n, x_r):
@@ -516,66 +538,43 @@ _ADAPTIVE_SLACK = 128.0
 
 
 def _fixed_rule(g, lo, hi):
-    """Integrals of g over the panels [lo, hi] (arrays over the bias grid,
-    or a float for all of it), and the difference of the two rule orders.
-    g maps radii of shape (grid, nodes) to integrand values."""
+    """Integrals of g over the panels [lo, hi] (columns of shape (grid, 1)
+    over the bias grid, or a float for all of it), and the difference of
+    the two rule orders. g maps radii of shape (grid, nodes) to integrand
+    values."""
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    fine, coarse = (half * (g(mid[:, None] + half[:, None] * x) @ w)
+    fine, coarse = (np.ravel(half) * (g(mid + half * x) @ w)
                     for x, w in _gl_rules())
     return fine, np.abs(fine - coarse)
 
 
 def _coverage_grid(params, betas):
     """(s_n, s_r, e_n, e_r): both classes' coverage on a whole bias grid by
-    fixed Gauss-Legendre rules, with bounds e on their distance to
-    coverage_near / coverage_far.
-
-    Panels split r where the integrands have kinks: [0, r_b], [r_b, r_l]
-    for the far class and [0, r_1], [r_1, r_eff], [r_eff, r_l] for the
-    near one. A bound is the two rule orders' difference plus
-    _ADAPTIVE_SLACK times the adaptive quadrature's tolerance; a value that
-    is not finite has a NaN or infinite bound.
-    """
+    fixed Gauss-Legendre rules over _coverage_panels (r_beta a column over
+    the grid), with bounds e on their distance to coverage_near /
+    coverage_far. A bound is the two rule orders' difference plus
+    _ADAPTIVE_SLACK times the adaptive quadrature's tolerance; a value
+    that is not finite has a NaN or infinite bound."""
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
-    lam_b = params.lambda_b * _PER_KM2_TO_M2
-    r_b = np.array([effective_mainlobe_radius(r_l, params.theta, b, params.d_l)
+    r_b = np.array([[effective_mainlobe_radius(r_l, params.theta, b, params.d_l)]
                     for b in betas])
-    r_1, r_eff = np.array([ring_radii(r_l, rb) for rb in r_b]).T
-    ha, t2a, p_a, gs_mult = _coverage_pieces(params)
-    p_ell = region1_interferer_prob(params.theta, p_a)
-    snr = _snr_survival(params)
-    f0 = _band_antiderivative(1.0 / t2a, ha)
+    (c_n, near), (c_r, far) = _coverage_panels(params, r_l, r_b)
+    # unlike coverage_near, split the near outer panel [r_1, r_l] at its
+    # kink r_eff, where its first band ends: beyond it that band is empty
+    lo, hi, weights, ends = near.pop()
+    near += [(lo, ends[0], weights, ends), (ends[0], hi, weights[1:], ends[1:])]
 
     def integral(c, panels):
-        """sum over panels of int 2*c*r*exp(-c*r^2*(1 + bands))*snr(r) dr.
-        A panel is (lo, hi, band weights, outer band ends as radii, each an
-        array over the grid or a float); its first band starts at
-        u0 = 1/t^(2/alpha)."""
         total = err = 0.0
         for lo, hi, weights, ends in panels:
-            def g(r):
-                rr_t = r * r * t2a
-                bands, f_prev = 0.0, f0
-                for wt, rho in zip(weights, ends):
-                    rho = np.reshape(rho, (-1, 1))
-                    f = _band_antiderivative(rho * rho / rr_t, ha)
-                    bands = bands + wt * (f - f_prev)
-                    f_prev = f
-                val = 2.0 * c * r * np.exp(-c * r * r * (1.0 + bands)) * snr(r)
-                return np.where(r > 0.0, val, 0.0)
-            v, e = _fixed_rule(g, lo, hi)
+            v, e = _fixed_rule(_integrand(params, c, weights, ends), lo, hi)
             total, err = total + v, err + e
         s = np.clip(total, 0.0, 1.0)
         return s, err + _ADAPTIVE_SLACK * (_EPSABS + _EPSREL * s)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_r, e_r = integral(math.pi * lam_b, [
-            (0.0, r_b, (p_a * t2a, gs_mult), (r_b, r_l)),
-            (r_b, r_l, (gs_mult,), (r_l,))])
-        s_n, e_n = integral(math.pi * lam_b / 2.0, [
-            (0.0, r_1, (p_ell * t2a, p_a * t2a, gs_mult), (r_1, r_eff, r_l)),
-            (r_1, r_eff, (p_a * t2a, gs_mult), (r_eff, r_l)),
-            (r_eff, r_l, (gs_mult,), (r_l,))])
+        s_r, e_r = integral(c_r, far)
+        s_n, e_n = integral(c_n, near)
     return s_n, s_r, e_n, e_r
 
 

@@ -146,6 +146,8 @@ def cmd_optimal_beta(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _resolve_params(args)
+    if args.drops < 2:
+        raise ConfigError(f"--drops must be >= 2, got {args.drops}")
     mode = _MODES[args.mode]
     workers = _worker_count(args.workers)
     window = default_window(params)
@@ -239,6 +241,8 @@ def cmd_sweep(args) -> int:
         if engine not in SWEEP_ENGINES:
             raise ConfigError(
                 f"engine must be one of {SWEEP_ENGINES}, got {engine!r}")
+    if args.drops < 2 and set(engines) != {"analytic"}:
+        raise ConfigError(f"--drops must be >= 2, got {args.drops}")
     grid = _sweep_grid(args.start, args.stop, args.steps)
     workers = _worker_count(args.workers)
 

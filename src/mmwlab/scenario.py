@@ -95,10 +95,18 @@ def band_fraction(lambda_ell: float, d_l: float, d_w: float,
 
 
 def validate(params: ScenarioParams) -> ValidationOutcome:
-    """Check that the model can evaluate the scenario: every field in
-    range, a beamwidth below pi, and open space left beside the buildings
-    and their near bands. Collects all violations; never raises."""
+    """Check that the model can evaluate the scenario: every field finite
+    and in range, a beamwidth below pi, and open space left beside the
+    buildings and their near bands. Never raises. Each field that is not
+    finite gives one violation, and the ranges, which cannot judge it, go
+    unchecked; otherwise every range violation is collected."""
     bad: list[str] = []
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if not isinstance(v, bool) and not math.isfinite(v):
+            bad.append(f"{f.name} must be finite, got {v}")
+    if bad:
+        return ValidationOutcome(ok=False, violations=tuple(bad))
 
     def check(cond: bool, msg: str) -> None:
         if not cond:

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from mmwlab.analytic import (_band_antiderivative, _coverage_pieces, _quad,
+                             _radii, _snr_survival, region1_interferer_prob,
+                             ring_radii)
 from mmwlab.geometry import BuildingField
 
 
@@ -252,3 +255,86 @@ def grid_refine_max(f, lo, hi, n_grid=201, tol=1e-4):
     if vr > vals[i]:
         return xr, vr
     return float(xs[i]), float(vals[i])
+
+
+def _band(lo: float, hi: float, f_lo, f_hi):
+    """Band integral from the antiderivative at its ends; 0 if hi <= lo."""
+    return f_hi - f_lo if hi > lo else 0.0
+
+
+# The coverage integrands as two hand-unrolled closures, one per UE class;
+# the package builds both from one panel table.
+def coverage_far(params, beta: float) -> float:
+    """Coverage P(SINR > t) of a typical open-space UE, clamped to [0, 1].
+
+    Serving BS is the nearest in the mean-LOS disk; interferers closer
+    than the dedicated-BS radius are beam-thinned, farther ones are
+    side-lobe only.
+    """
+    r_l, r_b, lam_b = _radii(params, beta)
+    ha, t2a, p_a, gs_mult = _coverage_pieces(params)
+    snr = _snr_survival(params)
+
+    u0 = 1.0 / t2a
+    f0 = _band_antiderivative(u0, ha)
+
+    def inner(r):
+        if r <= 0.0:
+            return 0.0
+        u_edge = r_l * r_l / (r * r * t2a)
+        f_edge = _band_antiderivative(u_edge, ha)
+        if r <= r_b:
+            u_b = r_b * r_b / (r * r * t2a)
+            f_b = _band_antiderivative(u_b, ha)
+            bands = p_a * t2a * _band(u0, u_b, f0, f_b) \
+                + gs_mult * _band(u_b, u_edge, f_b, f_edge)
+        else:
+            bands = gs_mult * _band(u0, u_edge, f0, f_edge)
+        return 2.0 * math.pi * lam_b * r \
+            * math.exp(-math.pi * lam_b * r * r * (1.0 + bands)) \
+            * snr(r)
+
+    val = _quad(inner, 0.0, r_b) + _quad(inner, r_b, r_l)
+    return min(max(val, 0.0), 1.0)
+
+
+def coverage_near(params, beta: float) -> float:
+    """Coverage of a typical wall-attached UE, clamped to [0, 1].
+
+    The UE sees a half-disk of radius r_l. Interferers within r_1 of the
+    UE include dedicated BSs locked onto the UE's own wall (main-lobe with
+    probability p_ell); the middle ring is beam-thinned; the far ring is
+    side-lobe only.
+    """
+    r_l, r_b, lam_b = _radii(params, beta)
+    ha, t2a, p_a, gs_mult = _coverage_pieces(params)
+    snr = _snr_survival(params)
+    r_1, r_eff = ring_radii(r_l, r_b)
+    p_ell = region1_interferer_prob(params.theta, p_a)
+
+    u0 = 1.0 / t2a
+    f0 = _band_antiderivative(u0, ha)
+
+    def inner(r):
+        if r <= 0.0:
+            return 0.0
+        rr = r * r
+        u1 = max(r_eff * r_eff, rr) / (rr * t2a)
+        u_edge = r_l * r_l / (rr * t2a)
+        f1 = _band_antiderivative(u1, ha)
+        f_edge = _band_antiderivative(u_edge, ha)
+        if r <= r_1:
+            u2 = r_1 * r_1 / (rr * t2a)
+            f2 = _band_antiderivative(u2, ha)
+            bands = p_ell * t2a * _band(u0, u2, f0, f2) \
+                + p_a * t2a * _band(u2, u1, f2, f1) \
+                + gs_mult * _band(u1, u_edge, f1, f_edge)
+        else:
+            bands = p_a * t2a * _band(u0, u1, f0, f1) \
+                + gs_mult * _band(u1, u_edge, f1, f_edge)
+        return math.pi * lam_b * r \
+            * math.exp(-(math.pi / 2.0) * lam_b * rr * (1.0 + bands)) \
+            * snr(r)
+
+    val = _quad(inner, 0.0, r_1) + _quad(inner, r_1, r_l)
+    return min(max(val, 0.0), 1.0)

@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 
 import mmwlab.analytic as A
-from mmwlab.scenario import ScenarioParams, params_for_city
+from mmwlab.scenario import ScenarioParams, params_for_city, validate
 import oracles
 from oracles import band_integral
 
@@ -132,7 +132,7 @@ def test_c1_matches_quadrature():
 
 def band_from_kernel(lo, hi, half_alpha):
     f = A._band_antiderivative
-    return A._band(lo, hi, f(lo, half_alpha), f(hi, half_alpha))
+    return oracles._band(lo, hi, f(lo, half_alpha), f(hi, half_alpha))
 
 
 def test_band_integral_log_form_and_tails():
@@ -173,6 +173,58 @@ def test_coverage_regression_values():
     assert A.coverage_near(P0, 0.5) == pytest.approx(0.6740928056, abs=1e-8)
     assert A.coverage_far(P0, 1.0) == pytest.approx(0.6911111013, abs=1e-8)
     assert A.coverage_near(P0, 1.0) == pytest.approx(0.4509740866, abs=1e-8)
+
+
+def _random_valid_scenarios(n, seed):
+    """n valid scenarios with alpha from 2 to 4.5 (every fourth exactly 2),
+    noise on and off, and theta = pi/24, where r_beta reaches 0, in every
+    other one."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        k = len(out)
+        p = P0.with_(lambda_b=float(rng.uniform(50.0, 1500.0)),
+                     lambda_ell=float(rng.uniform(100.0, 1200.0)),
+                     d_l=float(rng.uniform(15.0, 40.0)),
+                     d_w=float(rng.uniform(5.0, 14.0)),
+                     theta=(math.pi / 24 if k % 2 else
+                            float(rng.uniform(math.pi / 12, math.pi / 3))),
+                     alpha=2.0 if k % 4 == 0 else float(rng.uniform(2.0, 4.5)),
+                     t=float(10.0 ** rng.uniform(-1.0, 2.0)),
+                     include_noise=bool(k % 3 == 0))
+        if validate(p).ok:
+            out.append(p)
+    return out
+
+
+BETAS = (0.0, 0.3, 0.7, 1.0)
+
+
+def test_panel_table_matches_the_unrolled_closures():
+    reached_zero = False
+    for p in _random_valid_scenarios(100, seed=15):
+        for b in BETAS:
+            assert A.coverage_near(p, b) == oracles.coverage_near(p, b)
+            far, ref = A.coverage_far(p, b), oracles.coverage_far(p, b)
+            # the far exponent rounds as (-c)*(r*r), the closure's as
+            # ((-c)*r)*r: a few ulps apart
+            assert abs(far - ref) <= 1e-14 * abs(ref)
+            reached_zero |= A._radii(p, b)[1] == 0.0
+    assert reached_zero
+
+
+def test_integrand_branches_agree_on_every_panel():
+    for p in _random_valid_scenarios(30, seed=16):
+        for b in BETAS:
+            r_l, r_b, _ = A._radii(p, b)
+            for c, panels in A._coverage_panels(p, r_l, r_b):
+                for lo, hi, weights, ends in panels:
+                    if hi <= lo:
+                        continue
+                    g = A._integrand(p, c, weights, ends)
+                    rs = np.linspace(lo, hi, 52)[1:-1]
+                    np.testing.assert_allclose(
+                        g(rs), [g(float(r)) for r in rs], rtol=1e-12, atol=0)
 
 
 def test_coverage_small_threshold_limits():

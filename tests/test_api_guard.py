@@ -4,7 +4,8 @@
 span tracer (bench/tracer.py) wraps layer functions at the names their
 callers look them up by. Both break quietly when a name moves, so both
 are checked here, as is the line between the package and the scalar
-reference code in `tests/oracles.py`, which the package must not import.
+reference code in `tests/oracles.py`, which the package must not import,
+and the package's one adaptive quadrature call site.
 """
 
 import ast
@@ -56,6 +57,33 @@ def test_package_never_imports_the_test_oracles():
             if any(n.split(".")[0] in ("oracles", "tests") for n in names):
                 bad.append(f"{path.name}:{node.lineno}")
     assert bad == []
+
+
+def _quad_callers(tree, scope="<module>"):
+    """(enclosing function, line) of every call to a name or attribute
+    `quad` under `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inner = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name == "quad":
+                yield scope, node.lineno
+        yield from _quad_callers(node, inner)
+
+
+def test_quad_is_called_only_from_analytic_quad():
+    # the traced analytic.quad count and the QuadratureError check both
+    # rest on this one call site
+    calls = [f"{path.name}:{scope}"
+             for path in sorted((ROOT / "src" / "mmwlab").glob("*.py"))
+             for scope, _ in _quad_callers(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert calls == ["analytic.py:_quad"]
 
 
 def test_bench_tracer_installs_and_uninstalls():

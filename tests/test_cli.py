@@ -97,6 +97,30 @@ def test_scenarios_outside_the_model_domain_exit_2(argv, tmp_path):
     code, _, err = run(argv + ["--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert "theta" in err
+    cfg.write_text("lambda_u = inf\n")
+    code, _, err = run(argv + ["--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "lambda_u must be finite" in err
+
+
+@pytest.mark.parametrize("drops", [1, 0, -3])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "losball"], ["simulate", "--mode", "full"],
+    ["sweep", "--key", "beta", "--start", "0", "--stop", "1", "--steps", "2",
+     "--engines", "analytic,sim-losball"]])
+def test_fewer_than_two_drops_is_a_flag_error(argv, drops, tmp_path):
+    code, _, err = run(argv + ["--drops", str(drops),
+                               "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert f"--drops must be >= 2, got {drops}" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_analytic_sweep_ignores_drops(tmp_path):
+    code, _, _ = run(["sweep", "--key", "beta", "--start", "0", "--stop", "1",
+                      "--steps", "2", "--drops", "1",
+                      "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_OK
 
 
 def test_theta_sweep_status_agrees_across_engines(tmp_path):

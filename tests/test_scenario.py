@@ -1,6 +1,7 @@
 """Parameter record, validation, presets, and config parsing."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -83,6 +84,21 @@ def test_validate_collects_every_violation():
     outcome = validate(ScenarioParams().with_(lambda_b=-1.0, beta=2.0, t=0.0))
     assert not outcome.ok
     assert len(outcome.violations) == 3
+
+
+NUMERIC_FIELDS = [f.name for f in fields(ScenarioParams)
+                  if f.name != "include_noise"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_every_numeric_field_must_be_finite(value):
+    for name in NUMERIC_FIELDS:
+        outcome = validate(ScenarioParams().with_(**{name: value}))
+        assert outcome.violations == (f"{name} must be finite, got {value}",)
+    outcome = validate(ScenarioParams().with_(t=math.inf, lambda_b=math.nan,
+                                              gamma_c=2.0))
+    assert outcome.violations == ("lambda_b must be finite, got nan",
+                                  "t must be finite, got inf")
 
 
 @pytest.mark.parametrize("key", sorted(CITY_TABLE))
