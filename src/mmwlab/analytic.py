@@ -10,8 +10,9 @@ blockage process.
 Coverage is written once, as a table of panels over the serving distance
 with the rings of interferers each one sees (`_coverage_panels`); one
 integrand sums their bands, whose integral is closed form (an exact log at
-alpha = 2, a Gauss hypergeometric function otherwise). Each returned
-coverage is adaptive quadrature over the panels. The bias optimizers scan
+alpha = 2, a Gauss hypergeometric function otherwise). The panels end at
+the ring edges, where the integrand has its kinks, so each returned
+coverage is adaptive quadrature over smooth panels. The bias optimizers scan
 their grid through the same table and integrand with fixed Gauss-Legendre
 rules on arrays, and re-evaluate adaptively only the grid points whose
 error bounds leave them in contention. `include_noise` alone decides SIR
@@ -260,15 +261,20 @@ def _coverage_panels(params, r_l, r_b):
     """The coverage model as a table: ((c, panels) of the near class,
     (c, panels) of the far class). A class's coverage is the sum over its
     panels (lo, hi, band weights, band ends) of the integral from lo to hi
-    of _integrand(params, c, weights, ends); the panels split r at ring
-    edges. r_b is a float, or a column of a bias grid's r_beta."""
+    of _integrand(params, c, weights, ends). The panels split r at every
+    kink of the integrand, the ring edges r_1, r_eff and r_beta, so each
+    one is smooth. r_b is a float, or a column of a bias grid's r_beta."""
     lam_b = params.lambda_b * _PER_KM2_TO_M2
     _, t2a, p_a, gs_mult = _coverage_pieces(params)
     p_ell = region1_interferer_prob(params.theta, p_a)
     r_1, r_eff = ring_radii(r_l, r_b)
+    # beyond r_eff the first band of the outer panels is empty; it stays
+    # in the table, adding nothing, so both panels share one integrand
+    outer = ((p_a * t2a, gs_mult), (r_eff, r_l))
     near = (math.pi / 2.0 * lam_b, [
         (0.0, r_1, (p_ell * t2a, p_a * t2a, gs_mult), (r_1, r_eff, r_l)),
-        (r_1, r_l, (p_a * t2a, gs_mult), (r_eff, r_l))])
+        (r_1, r_eff, *outer),
+        (r_eff, r_l, *outer)])
     far = (math.pi * lam_b, [
         (0.0, r_b, (p_a * t2a, gs_mult), (r_b, r_l)),
         (r_b, r_l, (gs_mult,), (r_l,))])
@@ -530,11 +536,11 @@ def _gl_rules():
     return _gauss_legendre(48), _gauss_legendre(24)
 
 
-# The adaptive coverage_near can miss its tolerance where its interval
-# [r_1, r_l] straddles the kink at r_eff: by up to 166 tolerances, always
-# low, over 700 random valid scenarios with alpha from 2 to 4.5. A grid
-# comparison adds this slack on both sides, so it covers such a miss.
-_ADAPTIVE_SLACK = 128.0
+# Adaptive tolerances a grid bound adds to the two rules' difference, for
+# the adaptive value's own error. On panels split at every kink, 40 random
+# valid scenarios (alpha from 2 to 4.5) times 41 biases needed at most
+# 0.002 of them.
+_ADAPTIVE_SLACK = 4.0
 
 
 def _fixed_rule(g, lo, hi):
@@ -550,19 +556,16 @@ def _fixed_rule(g, lo, hi):
 
 def _coverage_grid(params, betas):
     """(s_n, s_r, e_n, e_r): both classes' coverage on a whole bias grid by
-    fixed Gauss-Legendre rules over _coverage_panels (r_beta a column over
-    the grid), with bounds e on their distance to coverage_near /
-    coverage_far. A bound is the two rule orders' difference plus
-    _ADAPTIVE_SLACK times the adaptive quadrature's tolerance; a value
-    that is not finite has a NaN or infinite bound."""
+    fixed Gauss-Legendre rules over the panels of _coverage_panels, the same
+    ones coverage_near and coverage_far integrate (r_beta a column over the
+    grid), with bounds e on their distance to those two. A bound is the two
+    rule orders' difference plus _ADAPTIVE_SLACK times the adaptive
+    quadrature's tolerance; a value that is not finite has a NaN or infinite
+    bound."""
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
     r_b = np.array([[effective_mainlobe_radius(r_l, params.theta, b, params.d_l)]
                     for b in betas])
     (c_n, near), (c_r, far) = _coverage_panels(params, r_l, r_b)
-    # unlike coverage_near, split the near outer panel [r_1, r_l] at its
-    # kink r_eff, where its first band ends: beyond it that band is empty
-    lo, hi, weights, ends = near.pop()
-    near += [(lo, ends[0], weights, ends), (ends[0], hi, weights[1:], ends[1:])]
 
     def integral(c, panels):
         total = err = 0.0

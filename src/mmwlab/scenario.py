@@ -13,6 +13,11 @@ from dataclasses import dataclass, fields, replace
 
 _PER_KM2_TO_M2 = 1e-6
 
+# Expected points of one density in the full engine's sampling window
+# that validate() admits. The largest golden drop draws about 4,300 UEs,
+# and the largest test scenario would draw about 24,000.
+_MAX_WINDOW_POINTS = 1e7
+
 
 class ConfigError(ValueError):
     """Raised for unreadable or malformed scenario config input."""
@@ -96,10 +101,12 @@ def band_fraction(lambda_ell: float, d_l: float, d_w: float,
 
 def validate(params: ScenarioParams) -> ValidationOutcome:
     """Check that the model can evaluate the scenario: every field finite
-    and in range, a beamwidth below pi, and open space left beside the
-    buildings and their near bands. Never raises. Each field that is not
-    finite gives one violation, and the ranges, which cannot judge it, go
-    unchecked; otherwise every range violation is collected."""
+    and in range, a beamwidth below pi, open space left beside the
+    buildings and their near bands, and no density that puts more than
+    _MAX_WINDOW_POINTS expected points in the full engine's sampling
+    window. Never raises. Each field that is not finite gives one
+    violation, and the ranges, which cannot judge it, go unchecked;
+    otherwise every range violation is collected."""
     bad: list[str] = []
     for f in fields(params):
         v = getattr(params, f.name)
@@ -143,6 +150,15 @@ def validate(params: ScenarioParams) -> ValidationOutcome:
           f"beta must lie in [0, 1], got {params.beta}")
     check(params.noise_figure_db >= 0,
           f"noise_figure_db must be >= 0, got {params.noise_figure_db}")
+    if params.lambda_ell > 0 and params.d_l > 0 and params.d_w > 0:
+        # simulate imports this module, so it is imported here, on use
+        from .simulate import default_window
+        area_km2 = default_window(params).sample_area_m2 * _PER_KM2_TO_M2
+        for name in ("lambda_b", "lambda_ell", "lambda_u"):
+            count = getattr(params, name) * area_km2
+            check(count <= _MAX_WINDOW_POINTS,
+                  f"{name} puts {count:.3g} expected points in the full "
+                  f"engine's sampling window, above {_MAX_WINDOW_POINTS:.0e}")
 
     return ValidationOutcome(ok=not bad, violations=tuple(bad))
 

@@ -298,8 +298,9 @@ def coverage_far(params, beta: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def coverage_near(params, beta: float) -> float:
-    """Coverage of a typical wall-attached UE, clamped to [0, 1].
+def near_integrand(params, beta: float):
+    """(inner, (r_1, r_eff, r_l)): the coverage integrand of a typical
+    wall-attached UE over [0, r_l], with its kinks at r_1 and r_eff.
 
     The UE sees a half-disk of radius r_l. Interferers within r_1 of the
     UE include dedicated BSs locked onto the UE's own wall (main-lobe with
@@ -336,5 +337,13 @@ def coverage_near(params, beta: float) -> float:
             * math.exp(-(math.pi / 2.0) * lam_b * rr * (1.0 + bands)) \
             * snr(r)
 
-    val = _quad(inner, 0.0, r_1) + _quad(inner, r_1, r_l)
+    return inner, (r_1, r_eff, r_l)
+
+
+def coverage_near(params, beta: float) -> float:
+    """Coverage of a typical wall-attached UE, clamped to [0, 1], by quad
+    on the pieces of [0, r_l] between the integrand's kinks."""
+    inner, (r_1, r_eff, r_l) = near_integrand(params, beta)
+    val = _quad(inner, 0.0, r_1) + _quad(inner, r_1, r_eff) \
+        + _quad(inner, r_eff, r_l)
     return min(max(val, 0.0), 1.0)

@@ -213,6 +213,20 @@ def test_panel_table_matches_the_unrolled_closures():
     assert reached_zero
 
 
+def test_coverage_near_meets_its_tolerance_across_the_kink():
+    # a single adaptive call across the kink at r_eff returned values
+    # several tolerances low on this sample; the reference passes the
+    # kink to QUADPACK as a breakpoint, at a much tighter tolerance
+    for p in _random_valid_scenarios(100, seed=18):
+        for b in BETAS:
+            inner, (r_1, r_eff, r_l) = oracles.near_integrand(p, b)
+            ref = integrate.quad(inner, 0.0, r_1, epsrel=1e-12, limit=200)[0] \
+                + integrate.quad(inner, r_1, r_l, points=[r_eff],
+                                 epsrel=1e-12, limit=200)[0]
+            got = A.coverage_near(p, b)
+            assert abs(got - ref) <= max(A._EPSABS, A._EPSREL * abs(ref)), (p, b)
+
+
 def test_integrand_branches_agree_on_every_panel():
     for p in _random_valid_scenarios(30, seed=16):
         for b in BETAS:
@@ -468,17 +482,27 @@ def test_gauss_legendre_rules_match_numpy():
         assert w[order] == pytest.approx(w_ref, rel=1e-13)
 
 
-@pytest.mark.parametrize("city", ["default", "gangnam", "chicago"])
+def _assert_grid_within_bound(p, betas):
+    s_n, s_r, e_n, e_r = A._coverage_grid(p, betas)
+    for k, b in enumerate(betas):
+        assert abs(s_n[k] - A.coverage_near(p, b)) <= e_n[k], (p, b)
+        assert abs(s_r[k] - A.coverage_far(p, b)) <= e_r[k], (p, b)
+
+
+@pytest.mark.parametrize("city", ["default", "gangnam", "chicago", "random"])
 def test_coverage_grid_within_bound_of_adaptive(city):
+    if city == "random":
+        # alpha up to 4.5 and theta = pi/24 in every other scenario: where
+        # an adaptive call across the kink at r_eff used to miss
+        for p in _random_valid_scenarios(12, seed=21):
+            _assert_grid_within_bound(p, np.linspace(0.0, 1.0, 11))
+        return
     base = P0 if city == "default" else params_for_city(city)
     betas = np.linspace(0.0, 1.0, 6)
     for alpha in (2.0, 2.5, 3.0, 4.0):
         for theta in (math.pi / 24, math.pi / 6, math.pi / 3):
             p = base.with_(alpha=alpha, theta=theta)
-            s_n, s_r, e_n, e_r = A._coverage_grid(p, betas)
-            for k, b in enumerate(betas):
-                assert abs(s_n[k] - A.coverage_near(p, b)) <= e_n[k]
-                assert abs(s_r[k] - A.coverage_far(p, b)) <= e_r[k]
+            _assert_grid_within_bound(p, betas)
             # theta = pi/24 reaches r_beta = 0 inside the grid
             if theta == math.pi / 24:
                 r_l = A.los_distance(p.lambda_ell, p.d_l, p.d_w)

@@ -101,6 +101,11 @@ def test_scenarios_outside_the_model_domain_exit_2(argv, tmp_path):
     code, _, err = run(argv + ["--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert "lambda_u must be finite" in err
+    # finite, but beyond any window the full engine can sample
+    cfg.write_text("lambda_b = 1e300\n")
+    code, _, err = run(argv + ["--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "lambda_b puts" in err
 
 
 @pytest.mark.parametrize("drops", [1, 0, -3])

@@ -8,9 +8,11 @@ to move them, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in the change which bytes moved and why.
+which prints every CSV cell it changes, as `file:line:column old -> new`,
+before it writes, and say in the change which bytes moved and why.
 """
 
+import csv
 import io
 import tempfile
 from contextlib import redirect_stderr
@@ -89,12 +91,33 @@ def test_cli_output_matches_golden_bytes(name, tmp_path):
         assert data == want[suffix], f"{name}{suffix} differs from golden"
 
 
+def _moved_cells(file: str, old: bytes, new: bytes):
+    """`file:line:column old -> new` for each CSV cell that differs; the
+    column is named by the header, the first line not starting with '#'."""
+    old_rows, new_rows = (list(csv.reader(io.StringIO(b.decode())))
+                          for b in (old, new))
+    header = next((r for r in new_rows if r and not r[0].startswith("#")), [])
+    for i in range(max(len(old_rows), len(new_rows))):
+        a = old_rows[i] if i < len(old_rows) else []
+        b = new_rows[i] if i < len(new_rows) else []
+        for j in range(max(len(a), len(b))):
+            x = a[j] if j < len(a) else ""
+            y = b[j] if j < len(b) else ""
+            if x != y:
+                column = header[j] if j < len(header) else str(j + 1)
+                yield f"{file}:{i + 1}:{column} {x} -> {y}"
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             for suffix, data in run_case(argv, Path(tmp)).items():
-                (GOLDEN / f"{name}{suffix}").write_bytes(data)
+                path = GOLDEN / f"{name}{suffix}"
+                old = path.read_bytes() if path.exists() else b""
+                for line in _moved_cells(path.name, old, data):
+                    print(line)
+                path.write_bytes(data)
 
 
 if __name__ == "__main__":

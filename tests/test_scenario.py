@@ -80,6 +80,19 @@ def test_building_length_must_exceed_width():
     assert any("d_l must exceed d_w" in v for v in outcome.violations)
 
 
+def test_validate_bounds_the_expected_points_of_a_drop_window():
+    # 1e300 BSs per km^2 are finite, but numpy cannot draw their count
+    outcome = validate(ScenarioParams().with_(lambda_b=1e300))
+    assert outcome.violations == (
+        "lambda_b puts 2.74e+299 expected points in the full engine's "
+        "sampling window, above 1e+07",)
+    # a sparse field widens the window: one violation per density
+    outcome = validate(ScenarioParams().with_(lambda_ell=1e-4))
+    assert [v.split()[0] for v in outcome.violations] == [
+        "lambda_b", "lambda_ell", "lambda_u"]
+    assert validate(ScenarioParams().with_(lambda_ell=10.0)).ok
+
+
 def test_validate_collects_every_violation():
     outcome = validate(ScenarioParams().with_(lambda_b=-1.0, beta=2.0, t=0.0))
     assert not outcome.ok
