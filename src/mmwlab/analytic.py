@@ -111,23 +111,29 @@ def los_distance(lambda_ell: float, d_l: float, d_w: float) -> float:
     return math.pi * math.sqrt(2.0 * outdoor) / (2.0 * lam * (d_l + d_w))
 
 
-def effective_mainlobe_radius(r_l: float, theta: float, beta: float, d_l: float) -> float:
+def effective_mainlobe_radius(r_l: float, theta: float, beta, d_l: float):
     """Radius [m] within which a BS can lock onto a beta-contracted wall.
 
     Shrinks linearly with the bias: r_l - beta*d_l/(2*tan(theta/2)),
-    floored at zero.
+    floored at zero. beta may be an array (a bias grid), and then so is
+    the radius, with the float's bits in every entry.
     """
     if not 0.0 < theta < math.pi:
         raise DomainError(f"beamwidth must lie in (0, pi), got {theta}")
-    if not 0.0 <= beta <= 1.0:
+    if isinstance(beta, np.ndarray):
+        if not np.all((0.0 <= beta) & (beta <= 1.0)):
+            raise DomainError("bias must lie in [0, 1] on the whole grid")
+    elif not 0.0 <= beta <= 1.0:
         raise DomainError(f"bias must lie in [0, 1], got {beta}")
     if r_l < 0 or d_l < 0:
         raise DomainError("r_l and d_l must be nonnegative")
-    return max(r_l - beta * d_l / (2.0 * math.tan(theta / 2.0)), 0.0)
+    r_b = r_l - beta * d_l / (2.0 * math.tan(theta / 2.0))
+    return np.maximum(r_b, 0.0) if isinstance(r_b, np.ndarray) else max(r_b, 0.0)
 
 
-def _radii(params, beta: float) -> tuple[float, float, float]:
-    """(r_l, r_beta) [m] at bias beta, and lambda_b [1/m^2]."""
+def _radii(params, beta):
+    """(r_l, r_beta) [m] at bias beta, and lambda_b [1/m^2]; on a bias
+    array, r_beta is an array."""
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
     r_b = effective_mainlobe_radius(r_l, params.theta, beta, params.d_l)
     return r_l, r_b, params.lambda_b * _PER_KM2_TO_M2
@@ -390,80 +396,106 @@ def coverage(params, beta: float) -> float:
 # Cell load and rate
 
 
-def observed_cell_area(params, beta: float) -> tuple[float, float]:
+def _where(cond, a, b):
+    """np.where on an array condition, a conditional expression on a bool:
+    the load model's branches, on a bias grid or at one bias."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def observed_cell_area(params, beta):
     """(A_c, A_r) [m^2]: mean open-space cell area of a typical non-dedicated
     BS, and the part of it that lies outside every near-building band.
 
     Both are floored at the dedicated-radius disk; A_r never exceeds A_c.
+    beta may be an array, and then so are both areas.
     """
     r_l, r_b, lam_b = _radii(params, beta)
     b_dl = beta * params.d_l
     d_c = params.d_c
 
+    disk = math.pi * r_b ** 2
     shave_c = math.pi * lam_b * r_l * (r_l ** 2 - r_b ** 2) \
         - (2.0 / 3.0) * math.pi * lam_b * (r_l ** 3 - r_b ** 3)
-    a_c = max(math.pi * r_b ** 2, math.pi * r_l ** 2 - (b_dl / 2.0) * shave_c)
+    shaved_c = math.pi * r_l ** 2 - (b_dl / 2.0) * shave_c
+    a_c = _where(shaved_c > disk, shaved_c, disk)
 
     rp = max(r_l - d_c, 0.0)
-    if d_c > r_l - r_b:
-        a_r = math.pi * rp ** 2
-    else:
-        shave_r = rp * (rp ** 2 - r_b ** 2) \
-            - (2.0 / 3.0) * (rp ** 3 - (r_b - d_c) ** 3)
-        a_r = max(math.pi * r_b ** 2,
-                  math.pi * rp ** 2 - (b_dl * math.pi * lam_b / 2.0) * shave_r)
-    return a_c, min(a_r, a_c)
+    shave_r = rp * (rp ** 2 - r_b ** 2) \
+        - (2.0 / 3.0) * (rp ** 3 - (r_b - d_c) ** 3)
+    shaved_r = math.pi * rp ** 2 - (b_dl * math.pi * lam_b / 2.0) * shave_r
+    a_r = _where(d_c > r_l - r_b, math.pi * rp ** 2,
+                 _where(shaved_r > disk, shaved_r, disk))
+    return a_c, _where(a_c < a_r, a_c, a_r)
 
 
-def mean_load_far(params, beta: float, literal_load_trigger: bool = False) -> float:
+def _far_load(params, beta, r_b, lam_b, lam_n_km2, lam_r_km2,
+              literal_load_trigger):
+    """mean_load_far from the dedicated radius r_b [m], lambda_b [1/m^2]
+    and both UE densities [1/km^2]. On a bias array, the rows where r_b
+    reached zero in the expanded-cell branch, where one bias raises
+    DomainError, are NaN."""
+    trigger_density = (params.lambda_u if literal_load_trigger
+                       else params.lambda_b) * _PER_KM2_TO_M2
+    expanded = r_b < 0.68 / math.sqrt(trigger_density)
+    kept = 1.28 * lam_r_km2 / params.lambda_b
+    if not isinstance(r_b, np.ndarray):
+        if not expanded:
+            return kept
+        if r_b <= 0.0:
+            raise DomainError(
+                "dedicated radius reached zero: bias beyond the admissible "
+                "range for the expanded-cell load formula")
+    a_c, a_r = observed_cell_area(params, beta)
+    lam_n = lam_n_km2 * _PER_KM2_TO_M2
+    lam_r = lam_r_km2 * _PER_KM2_TO_M2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grown = 1.28 * ((a_c - a_r) * lam_n + a_r * lam_r) \
+            / (math.pi * lam_b * r_b ** 2)
+    return _where(expanded, _where(r_b > 0.0, grown, np.nan), kept)
+
+
+def mean_load_far(params, beta, literal_load_trigger: bool = False):
     """Mean number of open-space UEs served by the typical non-dedicated BS.
 
     When the dedicated radius shrinks below the mean 6th-neighbor distance
     the surviving cells expand and absorb near-band UEs; otherwise the
     typical cell keeps its share of open-space UEs. The trigger distance
     uses the BS density by default; `literal_load_trigger` switches it to
-    the UE density.
+    the UE density. beta may be an array, and then so is the load, NaN
+    where one bias would raise DomainError for a zero dedicated radius.
     """
     _, r_b, lam_b = _radii(params, beta)
-    lam_n_km2, lam_r_km2 = _densities(params)
-    trigger_density = (params.lambda_u if literal_load_trigger
-                       else params.lambda_b) * _PER_KM2_TO_M2
-    if r_b < 0.68 / math.sqrt(trigger_density):
-        if r_b <= 0.0:
-            raise DomainError(
-                "dedicated radius reached zero: bias beyond the admissible range "
-                "for the expanded-cell load formula")
-        a_c, a_r = observed_cell_area(params, beta)
-        lam_n = lam_n_km2 * _PER_KM2_TO_M2
-        lam_r = lam_r_km2 * _PER_KM2_TO_M2
-        return 1.28 * ((a_c - a_r) * lam_n + a_r * lam_r) \
-            / (math.pi * lam_b * r_b ** 2)
-    return 1.28 * lam_r_km2 / params.lambda_b
+    return _far_load(params, beta, r_b, lam_b, *_densities(params),
+                     literal_load_trigger)
 
 
-def _c1(x: float, lam_b: float) -> float:
-    """int_0^x pi*lam_b*r^2*exp(-pi*lam_b*r^2/2) dr, closed form."""
+def _c1(x, lam_b: float):
+    """int_0^x pi*lam_b*r^2*exp(-pi*lam_b*r^2/2) dr, closed form; x may be
+    an array."""
     return _module.erf(x * math.sqrt(math.pi * lam_b / 2.0)) \
         / math.sqrt(2.0 * lam_b) \
-        - x * math.exp(-math.pi * lam_b * x * x / 2.0)
+        - x * _math(x).exp(-math.pi * lam_b * x * x / 2.0)
 
 
-def _half_disk_weight(a: float, b: float, lam_b: float) -> float:
-    """P(a <= nearest half-disk BS distance <= b)."""
-    return math.exp(-math.pi * lam_b * a * a / 2.0) \
-        - math.exp(-math.pi * lam_b * b * b / 2.0)
+def _half_disk_weight(a, b, lam_b: float):
+    """P(a <= nearest half-disk BS distance <= b); a or b may be an array."""
+    return _math(a).exp(-math.pi * lam_b * a * a / 2.0) \
+        - _math(b).exp(-math.pi * lam_b * b * b / 2.0)
 
 
-def mean_load_near(params, beta: float, literal_load_trigger: bool = False) -> float:
+def mean_load_near(params, beta, literal_load_trigger: bool = False):
     """Mean number of UEs sharing the typical wall-attached UE's serving BS.
 
     Mixes the open-space load (when the serving BS is far) with the strip
     of near-band and open-space UEs captured by a wall-locked beam of
-    width beta*d_l.
+    width beta*d_l. beta may be an array, as for mean_load_far.
     """
     r_l, r_b, lam_b = _radii(params, beta)
-    n_r = mean_load_far(params, beta, literal_load_trigger)
     lam_n_km2, lam_r_km2 = _densities(params)
+    n_r = _far_load(params, beta, r_b, lam_b, lam_n_km2, lam_r_km2,
+                    literal_load_trigger)
     lam_n = lam_n_km2 * _PER_KM2_TO_M2
     lam_r = lam_r_km2 * _PER_KM2_TO_M2
     d_c = params.d_c
@@ -563,8 +595,7 @@ def _coverage_grid(params, betas):
     quadrature's tolerance; a value that is not finite has a NaN or infinite
     bound."""
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
-    r_b = np.array([[effective_mainlobe_radius(r_l, params.theta, b, params.d_l)]
-                    for b in betas])
+    r_b = effective_mainlobe_radius(r_l, params.theta, betas[:, None], params.d_l)
     (c_n, near), (c_r, far) = _coverage_panels(params, r_l, r_b)
 
     def integral(c, panels):
@@ -657,20 +688,20 @@ def optimal_bias_coverage(params) -> tuple[float, float]:
 
 
 def _grid_loads(params, betas, literal_load_trigger):
-    """(n_n, n_r) on a bias grid from the scalar load model, NaN where the
-    load leaves its admissible domain; as in average_rate, a class with
-    zero weight is not evaluated."""
+    """(n_n, n_r) on a bias grid, by one pass of the load model over the
+    array: NaN where the load leaves its admissible domain, everywhere when
+    the scenario does; as in average_rate, a class with zero weight is not
+    evaluated."""
     gc = params.gamma_c
-    loads = np.full((len(betas), 2), np.nan)
-    for k, b in enumerate(betas):
-        try:
-            if gc > 0.0:
-                loads[k, 0] = mean_load_near(params, b, literal_load_trigger)
-            if gc < 1.0:
-                loads[k, 1] = mean_load_far(params, b, literal_load_trigger)
-        except DomainError:
-            loads[k] = np.nan
-    return loads.T
+    undefined = np.full(len(betas), np.nan)
+    try:
+        n_n = (mean_load_near(params, betas, literal_load_trigger)
+               if gc > 0.0 else undefined)
+        n_r = (mean_load_far(params, betas, literal_load_trigger)
+               if gc < 1.0 else undefined)
+    except DomainError:
+        return undefined, undefined
+    return n_n, n_r
 
 
 def optimal_bias_rate(params,

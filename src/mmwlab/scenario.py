@@ -104,9 +104,10 @@ def validate(params: ScenarioParams) -> ValidationOutcome:
     and in range, a beamwidth below pi, open space left beside the
     buildings and their near bands, and no density that puts more than
     _MAX_WINDOW_POINTS expected points in the full engine's sampling
-    window. Never raises. Each field that is not finite gives one
-    violation, and the ranges, which cannot judge it, go unchecked;
-    otherwise every range violation is collected."""
+    window: neither a field's nor, once every range holds, either UE
+    class's candidate density. Never raises. Each field that is not
+    finite gives one violation, and the ranges, which cannot judge it, go
+    unchecked; otherwise every range violation is collected."""
     bad: list[str] = []
     for f in fields(params):
         v = getattr(params, f.name)
@@ -151,11 +152,26 @@ def validate(params: ScenarioParams) -> ValidationOutcome:
     check(params.noise_figure_db >= 0,
           f"noise_figure_db must be >= 0, got {params.noise_figure_db}")
     if params.lambda_ell > 0 and params.d_l > 0 and params.d_w > 0:
-        # simulate imports this module, so it is imported here, on use
+        # both modules import this one, so they are imported here, on use
+        from .analytic import DomainError, ue_densities
         from .simulate import default_window
         area_km2 = default_window(params).sample_area_m2 * _PER_KM2_TO_M2
-        for name in ("lambda_b", "lambda_ell", "lambda_u"):
-            count = getattr(params, name) * area_km2
+        densities = [(name, getattr(params, name))
+                     for name in ("lambda_b", "lambda_ell", "lambda_u")]
+        if not bad:
+            # the full engine draws each UE class's candidates over the
+            # whole window, the near band's at lambda_u*gamma_c*(1-I)/B
+            try:
+                lam_n, lam_r = ue_densities(
+                    params.lambda_u, params.gamma_c, params.lambda_ell,
+                    params.d_l, params.d_w, params.d_c)
+            except DomainError as exc:
+                bad.append(str(exc))
+            else:
+                densities += [("lambda_n, the near-band UE density,", lam_n),
+                              ("lambda_r, the open-space UE density,", lam_r)]
+        for name, density in densities:
+            count = density * area_km2
             check(count <= _MAX_WINDOW_POINTS,
                   f"{name} puts {count:.3g} expected points in the full "
                   f"engine's sampling window, above {_MAX_WINDOW_POINTS:.0e}")

@@ -345,6 +345,113 @@ def test_average_rate_composition():
     assert rate == pytest.approx(349288087.84, abs=1.0)
 
 
+GRID = np.linspace(0.0, 1.0, 201)
+LOAD_CASES = {
+    "default": (P0, False),
+    "gangnam": (params_for_city("gangnam"), False),
+    "chicago": (params_for_city("chicago"), False),
+    # the expanded-cell branch, with r_beta = 0 rows
+    "theta24": (P0.with_(theta=math.pi / 24), False),
+    "gangnam-theta24": (params_for_city("gangnam").with_(theta=math.pi / 24),
+                        False),
+    "literal": (params_for_city("gangnam"), True),
+    "gc0": (P0.with_(gamma_c=0.0), False),
+    "gc1": (P0.with_(gamma_c=1.0), False),
+}
+
+
+def _scalar_or_nan(fn, *args):
+    try:
+        return fn(*args)
+    except A.DomainError:
+        return math.nan
+
+
+def _assert_array_matches_scalars(got, want):
+    # numpy's exp and powers may differ from the math module's in the last
+    # bit. The loads enter the rate as 1 + n, so they are compared in ulps
+    # of max(|n|, 1): with gamma_c = 1 the near load at small bias is a
+    # difference of two exponentials close to 1, 3e-4 in size.
+    want = np.asarray(want)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(got[ok] - want[ok])
+                  <= 4.0 * np.spacing(np.maximum(np.abs(want[ok]), 1.0)))
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_CASES))
+def test_array_loads_match_the_scalar_model(name):
+    p, literal = LOAD_CASES[name]
+    for fn in (A.mean_load_near, A.mean_load_far):
+        want = [_scalar_or_nan(fn, p, float(b), literal) for b in GRID]
+        _assert_array_matches_scalars(fn(p, GRID, literal), want)
+    areas = [_scalar_or_nan(A.observed_cell_area, p, float(b)) for b in GRID]
+    for got, want in zip(A.observed_cell_area(p, GRID), zip(*areas)):
+        _assert_array_matches_scalars(got, want)
+    # the grid's loads are those arrays, NaN for a class with zero weight
+    n_n, n_r = A._grid_loads(p, GRID, literal)
+    if p.gamma_c > 0.0:
+        assert np.array_equal(n_n, A.mean_load_near(p, GRID, literal),
+                              equal_nan=True)
+    else:
+        assert np.isnan(n_n).all()
+    if p.gamma_c < 1.0:
+        assert np.array_equal(n_r, A.mean_load_far(p, GRID, literal),
+                              equal_nan=True)
+    else:
+        assert np.isnan(n_r).all()
+    if "theta24" in name:
+        # guards the NaN comparison: r_beta = 0 rows raise in the scalar
+        assert 0 < np.isnan(n_r).sum() < len(GRID)
+
+
+def test_grid_loads_skip_a_class_without_weight(monkeypatch):
+    def unused(*args):
+        raise AssertionError("a class with zero weight was evaluated")
+
+    # (gamma_c, the class it leaves out, the index of the other's loads)
+    for gc, fn, other in ((0.0, "mean_load_near", 1), (1.0, "mean_load_far", 0)):
+        with monkeypatch.context() as m:
+            m.setattr(A, fn, unused)
+            loads = A._grid_loads(P0.with_(gamma_c=gc), GRID, False)
+        assert np.isfinite(loads[other]).all()
+
+
+def test_grid_loads_are_undefined_where_the_scenario_is():
+    # Manhattan's bands and buildings leave no open space: ue_densities
+    # raises for every bias
+    n_n, n_r = A._grid_loads(params_for_city("manhattan"), GRID, False)
+    assert np.isnan(n_n).all() and np.isnan(n_r).all()
+
+
+def test_r_beta_column_is_the_scalar_radius_bit_for_bit():
+    for p, _ in LOAD_CASES.values():
+        r_l = A.los_distance(p.lambda_ell, p.d_l, p.d_w)
+        col = A.effective_mainlobe_radius(r_l, p.theta, GRID[:, None], p.d_l)
+        want = np.array([[A.effective_mainlobe_radius(r_l, p.theta, float(b),
+                                                      p.d_l)] for b in GRID])
+        assert col.shape == want.shape and np.array_equal(col, want)
+    for bad in (np.array([0.0, 1.5]), np.array([-0.1]), np.array([np.nan])):
+        with pytest.raises(A.DomainError):
+            A.effective_mainlobe_radius(100.0, math.pi / 6, bad, 30.0)
+
+
+@pytest.mark.parametrize("name", ["default", "gangnam-theta24", "gc1"])
+def test_coverage_grid_unchanged_by_the_r_beta_column(name, monkeypatch):
+    p, _ = LOAD_CASES[name]
+    got = A._coverage_grid(p, GRID)
+    scalar = A.effective_mainlobe_radius
+
+    def per_beta(r_l, theta, beta, d_l):
+        return np.array([[scalar(r_l, theta, float(b), d_l)]
+                         for b in np.ravel(beta)])
+
+    monkeypatch.setattr(A, "effective_mainlobe_radius", per_beta)
+    want = A._coverage_grid(p, GRID)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # Bias optimization
 

@@ -106,6 +106,12 @@ def test_scenarios_outside_the_model_domain_exit_2(argv, tmp_path):
     code, _, err = run(argv + ["--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert "lambda_b puts" in err
+    # every field in range, but a band this thin concentrates its users
+    # beyond any window the full engine can sample
+    cfg.write_text("d_c = 1e-300\n")
+    code, _, err = run(argv + ["--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "lambda_n, the near-band UE density, puts" in err
 
 
 @pytest.mark.parametrize("drops", [1, 0, -3])

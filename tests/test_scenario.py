@@ -86,11 +86,33 @@ def test_validate_bounds_the_expected_points_of_a_drop_window():
     assert outcome.violations == (
         "lambda_b puts 2.74e+299 expected points in the full engine's "
         "sampling window, above 1e+07",)
-    # a sparse field widens the window: one violation per density
+    # a sparse field widens the window: one violation per density, the
+    # fields' and both UE classes' candidate densities
     outcome = validate(ScenarioParams().with_(lambda_ell=1e-4))
     assert [v.split()[0] for v in outcome.violations] == [
-        "lambda_b", "lambda_ell", "lambda_u"]
-    assert validate(ScenarioParams().with_(lambda_ell=10.0)).ok
+        "lambda_b", "lambda_ell", "lambda_u", "lambda_n,", "lambda_r,"]
+    assert validate(ScenarioParams().with_(lambda_ell=50.0)).ok
+    # at 10 buildings per km^2 the 2 m bands cover 0.16% of the area, and
+    # the near-band candidates alone would number 3.7e8
+    outcome = validate(ScenarioParams().with_(lambda_ell=10.0))
+    assert [v.split()[0] for v in outcome.violations] == ["lambda_n,"]
+
+
+def test_validate_bounds_the_near_band_candidates_of_a_thin_band():
+    # d_c = 1e-300 leaves every field in range, but the full engine would
+    # draw near-band candidates at lambda_u*gamma_c*(1-I)/B ~ 1e303 /km^2
+    outcome = validate(ScenarioParams().with_(d_c=1e-300))
+    assert outcome.violations == (
+        "lambda_n, the near-band UE density, puts 9.03e+303 expected points "
+        "in the full engine's sampling window, above 1e+07",)
+    # past overflow, and where the band fraction underflows to zero
+    outcome = validate(ScenarioParams().with_(d_c=1e-320))
+    assert outcome.violations[0].startswith(
+        "lambda_n, the near-band UE density, puts inf expected points")
+    assert validate(ScenarioParams().with_(d_c=1e-323)).violations == (
+        "near-band fraction must be positive",)
+    # with no UEs concentrated near buildings, the band draws none
+    assert validate(ScenarioParams().with_(d_c=1e-300, gamma_c=0.0)).ok
 
 
 def test_validate_collects_every_violation():
