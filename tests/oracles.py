@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from mmwlab.analytic import (_band_antiderivative, _coverage_pieces, _quad,
-                             _radii, _snr_survival, region1_interferer_prob,
-                             ring_radii)
+from mmwlab.analytic import (_band_antiderivative, _coverage_pieces,
+                             _gauss_legendre, _quad, _radii, _snr_survival,
+                             region1_interferer_prob, ring_radii)
 from mmwlab.geometry import BuildingField
 
 
@@ -255,6 +255,20 @@ def grid_refine_max(f, lo, hi, n_grid=201, tol=1e-4):
     if vr > vals[i]:
         return xr, vr
     return float(xs[i]), float(vals[i])
+
+
+_GL_48_24 = (_gauss_legendre(48), _gauss_legendre(24))
+
+
+def fixed_rule_48_24(g, lo, hi):
+    """The grid scan's fixed rule as two separate Gauss-Legendre rules:
+    the 48-point value and its distance to the 24-point one, which share
+    no node, so g is evaluated on 72 nodes. Same arguments and returns as
+    mmwlab.analytic._fixed_rule."""
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    fine, coarse = (np.ravel(half) * (g(mid + half * x) @ w)
+                    for x, w in _GL_48_24)
+    return fine, np.abs(fine - coarse)
 
 
 def _band(lo: float, hi: float, f_lo, f_hi):

@@ -589,6 +589,58 @@ def test_gauss_legendre_rules_match_numpy():
         assert w[order] == pytest.approx(w_ref, rel=1e-13)
 
 
+def test_gl_rules_are_the_kronrod_extension_of_g24():
+    x, w, w_gauss = A._gl_rules()
+    g, wg = A._gauss_legendre(24)
+    assert len(x) == len(w) == 49
+    # the embedded rule is G24 itself, and the new nodes fall one in each
+    # gap of it, ends included
+    assert np.array_equal(x[1::2], g[::-1])
+    assert np.array_equal(w_gauss, wg[::-1])
+    assert -1.0 < x[0] and np.all(np.diff(x) > 0.0) and x[-1] < 1.0
+    assert np.all(w > 0.0) and abs(w.sum() - 2.0) <= 1e-15
+    # exact through degree 3*24 + 1 = 73, and no further
+    moments = np.abs(np.polynomial.legendre.legvander(x, 74).T @ w)
+    assert moments[1:74].max() <= 1e-14
+    assert moments[74] > 1e-6
+
+
+# The benchmark's analytic_log and analytic_quad problems, and a sparse
+# field (r_l about 419 m) where at alpha = 2 the 24-point rule is loose
+LOOSE = P0.with_(lambda_b=484.0, lambda_ell=130.0, t=19.0)
+RULE_CASES = {
+    "default": P0,
+    "gangnam": params_for_city("gangnam"),
+    "chicago": params_for_city("chicago"),
+    "default-alpha3": P0.with_(alpha=3.0),
+    "default-alpha4": P0.with_(alpha=4.0),
+    "loose-alpha2": LOOSE,
+    "loose-alpha3": LOOSE.with_(alpha=3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_kronrod_pair_picks_as_the_48_24_pair(name, monkeypatch):
+    # the grid only picks the points the adaptive path evaluates: a wider
+    # bound would show as more quad calls before it moved an optimum
+    p = RULE_CASES[name]
+    calls = []
+    quad = A._quad
+    monkeypatch.setattr(A, "_quad",
+                        lambda f, a, b: calls.append(a) or quad(f, a, b))
+
+    def solves():
+        out = []
+        for solve in (A.optimal_bias_coverage, A.optimal_bias_rate):
+            calls.clear()
+            out.append((solve(p), len(calls)))
+        return out
+
+    got = solves()
+    monkeypatch.setattr(A, "_fixed_rule", oracles.fixed_rule_48_24)
+    assert got == solves()
+
+
 def _assert_grid_within_bound(p, betas):
     s_n, s_r, e_n, e_r = A._coverage_grid(p, betas)
     for k, b in enumerate(betas):

@@ -5,7 +5,8 @@ span tracer (bench/tracer.py) wraps layer functions at the names their
 callers look them up by. Both break quietly when a name moves, so both
 are checked here, as is the line between the package and the scalar
 reference code in `tests/oracles.py`, which the package must not import,
-and the package's one adaptive quadrature call site.
+the package's one adaptive quadrature call site, its one use of `hyp2f1`,
+and the absence of `numpy.linalg` from it.
 """
 
 import ast
@@ -43,47 +44,68 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-def test_package_never_imports_the_test_oracles():
-    # the scalar oracles (and the Building record) live only in tests/
-    bad = []
-    for path in sorted((ROOT / "src" / "mmwlab").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            else:
-                continue
-            if any(n.split(".")[0] in ("oracles", "tests") for n in names):
-                bad.append(f"{path.name}:{node.lineno}")
-    assert bad == []
-
-
-def _quad_callers(tree, scope="<module>"):
-    """(enclosing function, line) of every call to a name or attribute
-    `quad` under `tree`."""
+def _scoped(tree, scope="<module>"):
+    """(enclosing function or class, node) of every node under `tree`."""
     for node in ast.iter_child_nodes(tree):
+        yield scope, node
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             inner = node.name
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else \
-                getattr(func, "id", None)
-            if name == "quad":
-                yield scope, node.lineno
-        yield from _quad_callers(node, inner)
+        yield from _scoped(node, inner)
+
+
+def _package_nodes():
+    """("file:scope", node) of every node in the package's modules."""
+    for path in sorted((ROOT / "src" / "mmwlab").glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            yield f"{path.name}:{scope}", node
+
+
+def _names(node):
+    """The dotted-name parts a node refers to: a name, an attribute, or a
+    module or name in an import."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return node.name.split(".")
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")
+    return []
+
+
+def test_package_never_imports_the_test_oracles():
+    # the scalar oracles (and the Building record) live only in tests/
+    bad = [where for where, node in _package_nodes()
+           if isinstance(node, (ast.alias, ast.ImportFrom))
+           and _names(node)[0] in ("oracles", "tests")]
+    assert bad == []
 
 
 def test_quad_is_called_only_from_analytic_quad():
     # the traced analytic.quad count and the QuadratureError check both
     # rest on this one call site
-    calls = [f"{path.name}:{scope}"
-             for path in sorted((ROOT / "src" / "mmwlab").glob("*.py"))
-             for scope, _ in _quad_callers(
-                 ast.parse(path.read_text(encoding="utf-8")))]
+    calls = [where for where, node in _package_nodes()
+             if isinstance(node, ast.Call) and _names(node.func) == ["quad"]]
     assert calls == ["analytic.py:_quad"]
+
+
+def test_hyp2f1_is_used_only_by_the_band_antiderivative():
+    # one implementation of the band integral, for quad and the grid alike
+    refs = {where for where, node in _package_nodes()
+            if "hyp2f1" in _names(node)}
+    assert refs == {"analytic.py:_band_antiderivative"}
+
+
+def test_package_makes_no_linalg_call():
+    # the first LAPACK call costs resident memory (0.46 MB for a 12 x 12
+    # solve, 0.78 MB for its eigendecomposition); the quadrature rules are
+    # built by Newton's method on recurrences instead
+    refs = [where for where, node in _package_nodes()
+            if "linalg" in _names(node)]
+    assert refs == []
 
 
 def test_bench_tracer_installs_and_uninstalls():
