@@ -11,13 +11,12 @@ Coverage is written once, as a table of panels over the serving distance
 with the rings of interferers each one sees (`_coverage_panels`); one
 integrand sums their bands, whose integral is closed form (an exact log at
 alpha = 2, a Gauss hypergeometric function otherwise). The panels end at
-the ring edges, where the integrand has its kinks, so each returned
-coverage is adaptive quadrature over smooth panels. The bias optimizers scan
-their grid through the same table and integrand on arrays, with one fixed
-Gauss-Kronrod 24/49 pass per panel whose embedded Gauss rule bounds the
-error, and re-evaluate adaptively only the grid points whose error bounds
-leave them in contention. `include_noise` alone decides SIR or SINR, for
-coverage, rate and both bias optimizers.
+the ring edges, where the integrand has its kinks, so each one is smooth.
+One adaptive Gauss-Kronrod 24/49 routine integrates them, on the rows of
+a whole bias grid at once or on the one row of a single bias, and a grid
+row equals the single-bias value bit for bit, so the bias optimizers scan
+exact values. `include_noise` alone decides SIR or SINR, for coverage,
+rate and both bias optimizers.
 
 Inputs use the ScenarioParams units (densities per km^2, meters, radians,
 linear gains); conversion to per-m^2 happens inside.
@@ -35,12 +34,12 @@ import numpy as np
 from .scenario import _PER_KM2_TO_M2, band_fraction, indoor_fraction
 
 # scipy takes most of a fresh `import mmwlab`, and only the closed forms
-# below use it, so the drop engines never load it. `integrate`, `erf` and
-# `hyp2f1` are imported on first access through the module (PEP 562);
-# the kernels read them from `_module` at call time, so a replacement set
-# as a module attribute (the benchmark tracer's `integrate`) reaches them.
+# below use it, so the drop engines never load it. `erf` and `hyp2f1` are
+# imported on first access through the module (PEP 562); the kernels read
+# them from `_module` at call time, so a replacement set as a module
+# attribute reaches them. Only the benchmark's span tracer reads `integrate`.
 _module = sys.modules[__name__]
-_SCIPY_NAMES = ("integrate", "erf", "hyp2f1")
+_SCIPY_NAMES = ("erf", "hyp2f1")
 
 
 def __getattr__(name: str):
@@ -56,7 +55,8 @@ def __getattr__(name: str):
 
 
 def _load_scipy() -> None:
-    """Import the scipy names now, e.g. once before a process pool forks."""
+    """Import the scipy.special names now, e.g. once before a process pool
+    forks."""
     for name in _SCIPY_NAMES:
         getattr(_module, name)
 
@@ -75,22 +75,6 @@ class QuadratureError(ArithmeticError):
     def __init__(self, message: str, achieved_abs_err: float):
         super().__init__(message)
         self.achieved_abs_err = achieved_abs_err
-
-
-# Tolerances of the adaptive quadrature behind every returned coverage.
-_EPSABS, _EPSREL = 1e-12, 1e-8
-
-
-def _quad(f, a: float, b: float) -> float:
-    if b <= a:
-        return 0.0
-    out = _module.integrate.quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL,
-                                 limit=200, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(
-            f"quadrature did not converge on [{a:g}, {b:g}]; "
-            f"achieved abs error {out[1]:.3e}", achieved_abs_err=float(out[1]))
-    return float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +200,167 @@ def region1_interferer_prob(theta: float, p_a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Quadrature
+
+# Tolerances of every returned coverage: each panel meets max(_EPSABS,
+# _EPSREL*|its integral|) in at most _LIMIT pieces, on every row, as a
+# QUADPACK call with these arguments would.
+_EPSABS, _EPSREL = 1e-12, 1e-8
+_LIMIT = 200
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Newton's method on the Legendre recurrence. numpy's leggauss solves an
+    eigenvalue problem instead, whose first LAPACK call costs about 1 MB of
+    resident memory."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _legendre_and_extension(x, c):
+    """(P_n, P_n', E, E') at x, for E = sum_j c[j]*P_j of degree n + 1 =
+    len(c) - 1, by the Legendre recurrence and P'_{k+1} = P'_{k-1} +
+    (2k + 1)*P_k."""
+    n = len(c) - 2
+    p_prev, p = np.ones_like(x), x
+    dp_prev, dp = np.zeros_like(x), np.ones_like(x)
+    e, de = c[0] + c[1] * p, c[1] * dp
+    for k in range(1, n + 1):
+        if k == n:
+            p_n, dp_n = p, dp
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        dp_prev, dp = dp, dp_prev + (2 * k + 1) * p_prev
+        e, de = e + c[k + 1] * p, de + c[k + 1] * dp
+    return p_n, dp_n, e, de
+
+
+def _gauss_kronrod(n: int):
+    """(nodes, Kronrod weights, Gauss weights) of the (2n+1)-point
+    Gauss-Kronrod extension of the n-point Gauss-Legendre rule on [-1, 1],
+    for n >= 2. The nodes increase; nodes[1::2] are _gauss_legendre(n)'s,
+    bit for bit, and the Gauss weights belong to them.
+
+    The new nodes are the roots of the Stieltjes polynomial E = P_{n+1} +
+    sum c_j P_j over j < n + 1 of n's other parity, with P_n*E orthogonal
+    to every P_k, k <= n. Only odd k constrain it, and condition k involves
+    only j >= n - k, so back-substitution from k = 1 fixes c_{n-k}, with
+    every integral exact under the 2n-point Gauss rule. Each root is found
+    by Newton's method from the midpoint of its gap between the Gauss
+    nodes. With E's leading coefficient that of P_{n+1}, the interpolatory
+    weights are 2/((n+1)*P_n*E') at a root of E, and the Gauss weight plus
+    2/((n+1)*P_n'*E) at a Gauss node."""
+    gauss, w_gauss = (a[::-1] for a in _gauss_legendre(n))
+    y, w_y = _gauss_legendre(2 * n)
+    leg = [np.ones_like(y), y]   # P_0 .. P_{n+1} at y
+    for k in range(1, n + 1):
+        leg.append(((2 * k + 1) * y * leg[k] - k * leg[k - 1]) / (k + 1))
+    leg = np.array(leg)
+    c = np.zeros(n + 2)
+    c[n + 1] = 1.0
+    for k in range(1, n + 1, 2):
+        j = n - k
+        pk = w_y * leg[n] * leg[k]
+        c[j] = -(pk @ (c[j + 2:] @ leg[j + 2:])) / (pk @ leg[j])
+    edges = np.concatenate(([-1.0], gauss, [1.0]))
+    x = (edges[:-1] + edges[1:]) / 2.0
+    for _ in range(6):
+        _, _, e, de = _legendre_and_extension(x, c)
+        x = x - e / de
+    nodes = np.empty(2 * n + 1)
+    nodes[0::2], nodes[1::2] = x, gauss
+    p_n, dp_n, e, de = _legendre_and_extension(nodes, c)
+    w = np.empty(2 * n + 1)
+    w[0::2] = 2.0 / ((n + 1) * p_n[0::2] * de[0::2])
+    w[1::2] = w_gauss + 2.0 / ((n + 1) * dp_n[1::2] * e[1::2])
+    return nodes, w, w_gauss
+
+
+@functools.cache
+def _gl_rules():
+    """The Gauss-Kronrod 24/49 pair, built on first use: values come from
+    the 49-point rule, error estimates from its distance to the embedded
+    24-point Gauss rule."""
+    # Allocating and freeing one untouched 4 MiB block makes glibc raise
+    # its mmap and trim thresholds to that size (mallopt(3),
+    # M_MMAP_THRESHOLD). Without it, a bias grid's temporaries leave more
+    # than the default 128 KiB free at the top of the heap, which is then
+    # trimmed and faulted in again on every scan.
+    np.empty(1 << 19)
+    return _gauss_kronrod(24)
+
+
+def _fixed_rule(g, lo, hi):
+    """Integrals of g over [lo, hi] (columns of shape (rows, 1), or a float
+    for every row) by the 49-point Kronrod rule, and their distance to the
+    embedded 24-point Gauss rule's. g maps radii of shape (rows, 49) to
+    integrand values. Rows are reduced by einsum, not a BLAS product, so a
+    row's result does not depend on the rows beside it."""
+    x, w_kronrod, w_gauss = _gl_rules()
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    f = g(mid + half * x)
+    half = np.ravel(half)
+    value = half * np.einsum("...j,j->...", f, w_kronrod)
+    gauss = half * np.einsum("...j,j->...", f[:, 1::2], w_gauss)
+    return value, np.abs(value - gauss)
+
+
+def _adaptive(g, lo, hi, weights, ends):
+    """Integral of g(r, weights, ends) from lo to hi on every row, by
+    adaptive Gauss-Kronrod 24/49 (Piessens et al., QUADPACK, 1983)
+    vectorised over the rows (Shampine, J. Comput. Appl. Math. 211, 2008).
+    lo, hi and the ends are floats or columns of shape (rows, 1), with lo
+    or hi a column. A row whose whole-panel error estimate exceeds its
+    tolerance is bisected; each piece is kept once its estimate is within
+    its length's share of the tolerance on the row's current total. Rows
+    never mix, so a row equals its one-row call bit for bit. A row that
+    needs more than _LIMIT pieces, as one that is not finite does, raises
+    QuadratureError."""
+    value, err = _fixed_rule(lambda r: g(r, weights, ends), lo, hi)
+    ok = err <= np.maximum(_EPSABS, _EPSREL * np.abs(value))
+    if ok.all():
+        return value
+    todo, n = np.flatnonzero(~ok), len(value)
+    lo, hi = (np.broadcast_to(v, (n, 1))[:, 0] for v in (lo, hi))
+    cols = [np.broadcast_to(v, (n, 1)) for v in ends]
+    row, a, b, e = todo, lo[todo], hi[todo], err[todo]
+    pieces = np.ones(n, dtype=np.intp)
+    done, done_err = np.zeros(n), np.zeros(n)
+    while len(row):
+        pieces += np.bincount(row, minlength=n)
+        if (pieces > _LIMIT).any():
+            i = int(np.argmax(pieces > _LIMIT))
+            achieved = float(done_err[i] + e[row == i].sum())
+            raise QuadratureError(
+                f"quadrature did not converge on [{lo[i]:g}, {hi[i]:g}] in "
+                f"{_LIMIT} pieces; achieved abs error {achieved:.3e}", achieved)
+        mid = (a + b) / 2.0
+        row, a, b = (np.concatenate(v) for v in ((row, row), (a, mid), (mid, b)))
+        sub = [c[row] for c in cols]
+        k, e = _fixed_rule(lambda r: g(r, weights, sub), a[:, None], b[:, None])
+        tol = np.maximum(_EPSABS, _EPSREL * np.abs(done + np.bincount(row, k, n)))
+        ok = e <= tol[row] * ((b - a) / (hi - lo)[row])
+        done += np.bincount(row[ok], k[ok], n)
+        done_err += np.bincount(row[ok], e[ok], n)
+        row, a, b, e = row[~ok], a[~ok], b[~ok], e[~ok]
+    value[todo] = done[todo]
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Coverage
 
 
 def _math(x):
-    """numpy for arrays, math for floats: the scalar integrands keep the
-    bits of the math module, whose log1p and exp numpy's vector loops need
-    not match."""
+    """numpy for arrays, math for floats: float callers keep the bits of
+    the math module, whose log1p and exp numpy's vector loops need not
+    match."""
     return np if isinstance(x, np.ndarray) else math
 
 
@@ -268,9 +406,9 @@ def _coverage_panels(params, r_l, r_b):
     """The coverage model as a table: ((c, panels) of the near class,
     (c, panels) of the far class). A class's coverage is the sum over its
     panels (lo, hi, band weights, band ends) of the integral from lo to hi
-    of _integrand(params, c, weights, ends). The panels split r at every
+    of _integrand(params, c)(r, weights, ends). The panels split r at every
     kink of the integrand, the ring edges r_1, r_eff and r_beta, so each
-    one is smooth. r_b is a float, or a column of a bias grid's r_beta."""
+    one is smooth. r_b is a column of r_beta, one row per bias."""
     lam_b = params.lambda_b * _PER_KM2_TO_M2
     _, t2a, p_a, gs_mult = _coverage_pieces(params)
     p_ell = region1_interferer_prob(params.theta, p_a)
@@ -288,59 +426,41 @@ def _coverage_panels(params, r_l, r_b):
     return near, far
 
 
-def _integrand(params, c, weights, ends):
-    """r -> 2*c*r*exp(-c*r^2*(1 + bands))*snr(r), 0 at r <= 0: one panel's
-    coverage integrand, on a float for quad (with the math module's bits)
-    or on an array for the fixed rules. Band k adds weights[k] times the
-    band integral from the end of band k-1 (u0 = 1/t^(2/alpha) for the
-    first) to max(ends[k], r)^2/(r^2*t^(2/alpha)), or nothing if that end
-    does not pass its start."""
+def _integrand(params, c):
+    """(r, weights, ends) -> 2*c*r*exp(-c*r^2*(1 + bands))*snr(r), 0 at
+    r <= 0: a class's coverage integrand on one panel, on an array of
+    radii. Band k adds weights[k] times the band integral from the end of
+    band k-1 (u0 = 1/t^(2/alpha) for the first) to max(ends[k], r)^2/
+    (r^2*t^(2/alpha)), or nothing if that end does not pass its start."""
     ha, t2a, _, _ = _coverage_pieces(params)
     snr = _snr_survival(params)
     u0 = 1.0 / t2a
     f0 = _band_antiderivative(u0, ha)
-    bands_of = [(w, rho * rho) for w, rho in zip(weights, ends)]
     two_c, neg_c = 2.0 * c, -c
 
-    def on_array(r):
+    def g(r, weights, ends):
         rr = r * r
         rr_t = rr * t2a
         bands, u_lo, f_lo = 0.0, u0, f0
-        for w, sq in bands_of:
-            u = np.maximum(sq, rr) / rr_t
+        for w, rho in zip(weights, ends):
+            u = np.maximum(rho * rho, rr) / rr_t
             f = _band_antiderivative(u, ha)
             bands = bands + w * np.where(u > u_lo, f - f_lo, 0.0)
             u_lo, f_lo = u, f
         val = two_c * r * np.exp(neg_c * rr * (1.0 + bands)) * snr(r)
         return np.where(r > 0.0, val, 0.0)
 
-    log, log1p = ha == 1.0, math.log1p
-
-    def g(r):
-        if isinstance(r, np.ndarray):
-            return on_array(r)
-        if r <= 0.0:
-            return 0.0
-        rr = r * r
-        rr_t = rr * t2a
-        bands, u_lo, f_lo = 0.0, u0, f0
-        for w, sq in bands_of:
-            u = (sq if sq > rr else rr) / rr_t
-            # math.log1p itself at alpha = 2 keeps the float branch cheap
-            f = log1p(u) if log else _band_antiderivative(u, ha)
-            if u > u_lo:
-                bands += w * (f - f_lo)
-            u_lo, f_lo = u, f
-        return two_c * r * math.exp(neg_c * rr * (1.0 + bands)) * snr(r)
-
     return g
 
 
-def _adaptive_coverage(params, c, panels) -> float:
-    """A class's coverage from its panels by quad, clamped to [0, 1]."""
-    val = sum(_quad(_integrand(params, c, weights, ends), lo, hi)
-              for lo, hi, weights, ends in panels)
-    return min(max(val, 0.0), 1.0)
+def _class_coverage(params, c, panels):
+    """A class's coverage on every row of its panels, clamped to [0, 1]."""
+    g = _integrand(params, c)
+    total = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi, weights, ends in panels:
+            total = total + _adaptive(g, lo, hi, weights, ends)
+    return np.clip(total, 0.0, 1.0)
 
 
 def coverage_far(params, beta: float) -> float:
@@ -351,8 +471,8 @@ def coverage_far(params, beta: float) -> float:
     side-lobe only.
     """
     r_l, r_b, _ = _radii(params, beta)
-    _, (c, panels) = _coverage_panels(params, r_l, r_b)
-    return _adaptive_coverage(params, c, panels)
+    _, (c, panels) = _coverage_panels(params, r_l, np.full((1, 1), r_b))
+    return float(_class_coverage(params, c, panels)[0])
 
 
 def coverage_near(params, beta: float) -> float:
@@ -364,8 +484,8 @@ def coverage_near(params, beta: float) -> float:
     side-lobe only.
     """
     r_l, r_b, _ = _radii(params, beta)
-    (c, panels), _ = _coverage_panels(params, r_l, r_b)
-    return _adaptive_coverage(params, c, panels)
+    (c, panels), _ = _coverage_panels(params, r_l, np.full((1, 1), r_b))
+    return float(_class_coverage(params, c, panels)[0])
 
 
 def _mix(params, x_n, x_r):
@@ -547,132 +667,14 @@ _GOLDEN_TOL = 1e-4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
-    Newton's method on the Legendre recurrence. numpy's leggauss solves an
-    eigenvalue problem instead, whose first LAPACK call costs about 1 MB of
-    resident memory."""
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(8):
-        p_prev, p = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-def _legendre_and_extension(x, c):
-    """(P_n, P_n', E, E') at x, for E = sum_j c[j]*P_j of degree n + 1 =
-    len(c) - 1, by the Legendre recurrence and P'_{k+1} = P'_{k-1} +
-    (2k + 1)*P_k."""
-    n = len(c) - 2
-    p_prev, p = np.ones_like(x), x
-    dp_prev, dp = np.zeros_like(x), np.ones_like(x)
-    e, de = c[0] + c[1] * p, c[1] * dp
-    for k in range(1, n + 1):
-        if k == n:
-            p_n, dp_n = p, dp
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        dp_prev, dp = dp, dp_prev + (2 * k + 1) * p_prev
-        e, de = e + c[k + 1] * p, de + c[k + 1] * dp
-    return p_n, dp_n, e, de
-
-
-def _gauss_kronrod(n: int):
-    """(nodes, Kronrod weights, Gauss weights) of the (2n+1)-point
-    Gauss-Kronrod extension of the n-point Gauss-Legendre rule on [-1, 1],
-    for n >= 2. The nodes increase; nodes[1::2] are _gauss_legendre(n)'s,
-    bit for bit, and the Gauss weights belong to them.
-
-    The new nodes are the roots of the Stieltjes polynomial E = P_{n+1} +
-    sum c_j P_j over j < n + 1 of n's other parity, with P_n*E orthogonal
-    to every P_k, k <= n. Only odd k constrain it, and condition k involves
-    only j >= n - k, so back-substitution from k = 1 fixes c_{n-k}, with
-    every integral exact under the 2n-point Gauss rule. Each root is found
-    by Newton's method from the midpoint of its gap between the Gauss
-    nodes. With E's leading coefficient that of P_{n+1}, the interpolatory
-    weights are 2/((n+1)*P_n*E') at a root of E, and the Gauss weight plus
-    2/((n+1)*P_n'*E) at a Gauss node."""
-    gauss, w_gauss = (a[::-1] for a in _gauss_legendre(n))
-    y, w_y = _gauss_legendre(2 * n)
-    leg = [np.ones_like(y), y]   # P_0 .. P_{n+1} at y
-    for k in range(1, n + 1):
-        leg.append(((2 * k + 1) * y * leg[k] - k * leg[k - 1]) / (k + 1))
-    leg = np.array(leg)
-    c = np.zeros(n + 2)
-    c[n + 1] = 1.0
-    for k in range(1, n + 1, 2):
-        j = n - k
-        pk = w_y * leg[n] * leg[k]
-        c[j] = -(pk @ (c[j + 2:] @ leg[j + 2:])) / (pk @ leg[j])
-    edges = np.concatenate(([-1.0], gauss, [1.0]))
-    x = (edges[:-1] + edges[1:]) / 2.0
-    for _ in range(6):
-        _, _, e, de = _legendre_and_extension(x, c)
-        x = x - e / de
-    nodes = np.empty(2 * n + 1)
-    nodes[0::2], nodes[1::2] = x, gauss
-    p_n, dp_n, e, de = _legendre_and_extension(nodes, c)
-    w = np.empty(2 * n + 1)
-    w[0::2] = 2.0 / ((n + 1) * p_n[0::2] * de[0::2])
-    w[1::2] = w_gauss + 2.0 / ((n + 1) * dp_n[1::2] * e[1::2])
-    return nodes, w, w_gauss
-
-
-@functools.cache
-def _gl_rules():
-    """The grid scan's Gauss-Kronrod 24/49 pair, built on first use:
-    values come from the 49-point rule, error estimates from its distance
-    to the embedded 24-point Gauss rule."""
-    return _gauss_kronrod(24)
-
-
-# Adaptive tolerances a grid bound adds to the rule pair's difference, for
-# the adaptive value's own error. On panels split at every kink, 40 random
-# valid scenarios (alpha from 2 to 4.5, seed 21) times 41 biases needed at
-# most 0.0022 of them.
-_ADAPTIVE_SLACK = 4.0
-
-
-def _fixed_rule(g, lo, hi):
-    """Integrals of g over the panels [lo, hi] (columns of shape (grid, 1)
-    over the bias grid, or a float for all of it) by the 49-point Kronrod
-    rule, and their distance to the embedded 24-point Gauss rule's, from
-    one evaluation of g on the 49 nodes. g maps radii of shape
-    (grid, nodes) to integrand values."""
-    x, w_kronrod, w_gauss = _gl_rules()
-    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    f = g(mid + half * x)
-    half = np.ravel(half)
-    value = half * (f @ w_kronrod)
-    return value, np.abs(value - half * (f[..., 1::2] @ w_gauss))
-
-
 def _coverage_grid(params, betas):
-    """(s_n, s_r, e_n, e_r): both classes' coverage on a whole bias grid by
-    the 49-point Kronrod rule over the panels of _coverage_panels, the same
-    ones coverage_near and coverage_far integrate (r_beta a column over the
-    grid), with bounds e on their distance to those two. A bound is the
-    Kronrod value's distance to the embedded 24-point Gauss rule's plus
-    _ADAPTIVE_SLACK times the adaptive quadrature's tolerance; a value that
-    is not finite has a NaN or infinite bound."""
+    """(s_n, s_r): both classes' coverage on a whole bias grid, one row per
+    bias (r_beta a column over the grid) of the computation coverage_near
+    and coverage_far make for one bias, and equal to it bit for bit."""
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
     r_b = effective_mainlobe_radius(r_l, params.theta, betas[:, None], params.d_l)
-    (c_n, near), (c_r, far) = _coverage_panels(params, r_l, r_b)
-
-    def integral(c, panels):
-        total = err = 0.0
-        for lo, hi, weights, ends in panels:
-            v, e = _fixed_rule(_integrand(params, c, weights, ends), lo, hi)
-            total, err = total + v, err + e
-        s = np.clip(total, 0.0, 1.0)
-        return s, err + _ADAPTIVE_SLACK * (_EPSABS + _EPSREL * s)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_r, e_r = integral(c_r, far)
-        s_n, e_n = integral(c_n, near)
-    return s_n, s_r, e_n, e_r
+    return tuple(_class_coverage(params, c, panels)
+                 for c, panels in _coverage_panels(params, r_l, r_b))
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -696,31 +698,22 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
 def _grid_refine_max(f, f_grid, lo: float, hi: float) -> tuple[float, float]:
     """Uniform grid scan plus golden-section refinement around the best cell.
 
-    `f_grid(xs)` gives the objective on the whole grid at once as fixed-rule
-    values with bounds on their distance to `f`. It only picks the grid
-    points that `f` evaluates: each point whose value plus bound reaches
-    the best value minus bound, and each point whose value or bound is
-    NaN. The best cell is the argmax of `f` over those points, ties to the
-    lower index, so it is the cell of an all-`f` scan whenever the bounds
-    hold. The refinement and the returned value come from `f` alone.
+    `f_grid(xs)` gives the objective on the whole grid at once. The best
+    cell is its argmax, ties to the lower index; the refinement and the
+    returned value come from `f`.
 
     Returns the better of the refined point and the best grid point, so
     exact grid endpoints survive when the optimum sits on the boundary.
     """
     xs = np.linspace(lo, hi, _GRID_POINTS)
-    approx, bound = f_grid(xs)
-    lower = approx - bound
-    best = np.max(lower, initial=-np.inf, where=~np.isnan(lower))
-    picked = np.flatnonzero(~(approx + bound < best))
-    vals = np.array([f(float(xs[k])) for k in picked])
-    j = int(np.argmax(vals))
-    i = int(picked[j])
+    i = int(np.argmax(f_grid(xs)))
+    v = f(float(xs[i]))
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, _GRID_POINTS - 1)]
     xr, vr = _golden_max(f, float(a), float(b), _GOLDEN_TOL)
-    if vr > vals[j]:
+    if vr > v:
         return float(xr), float(vr)
-    return float(xs[i]), float(vals[j])
+    return float(xs[i]), float(v)
 
 
 def optimal_bias_coverage(params) -> tuple[float, float]:
@@ -736,8 +729,7 @@ def optimal_bias_coverage(params) -> tuple[float, float]:
         return coverage(params, b)
 
     def f_grid(betas):
-        s_n, s_r, e_n, e_r = _coverage_grid(params, betas)
-        return np.clip(_mix(params, s_n, s_r), 0.0, 1.0), _mix(params, e_n, e_r)
+        return np.clip(_mix(params, *_coverage_grid(params, betas)), 0.0, 1.0)
 
     r_l = los_distance(params.lambda_ell, params.d_l, params.d_w)
     knee = math.tan(params.theta / 2.0) * r_l / params.d_l
@@ -792,12 +784,10 @@ def optimal_bias_rate(params,
             return -math.inf
 
     def f_grid(betas):
-        s_n, s_r, e_n, e_r = _coverage_grid(params, betas)
+        s_n, s_r = _coverage_grid(params, betas)
         n_n, n_r = _grid_loads(params, betas, literal_load_trigger)
-        undefined = np.isnan(_mix(params, n_n, n_r))
         rate = _mixed_rate(params, s_n, n_n, s_r, n_r)
-        bound = _mixed_rate(params, e_n, n_n, e_r, n_r)
-        return np.where(undefined, -np.inf, rate), np.where(undefined, 0.0, bound)
+        return np.where(np.isnan(_mix(params, n_n, n_r)), -np.inf, rate)
 
     beta_r, rate_r = _grid_refine_max(f, f_grid, 0.0, 1.0)
     if not math.isfinite(rate_r):

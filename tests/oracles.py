@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from mmwlab.analytic import (_band_antiderivative, _coverage_pieces,
-                             _gauss_legendre, _quad, _radii, _snr_survival,
-                             region1_interferer_prob, ring_radii)
+from mmwlab.analytic import (_EPSABS, _EPSREL, _LIMIT, QuadratureError,
+                             _band_antiderivative, _coverage_pieces, _radii,
+                             _snr_survival, region1_interferer_prob,
+                             ring_radii)
 from mmwlab.geometry import BuildingField
 
 
@@ -257,18 +258,18 @@ def grid_refine_max(f, lo, hi, n_grid=201, tol=1e-4):
     return float(xs[i]), float(vals[i])
 
 
-_GL_48_24 = (_gauss_legendre(48), _gauss_legendre(24))
-
-
-def fixed_rule_48_24(g, lo, hi):
-    """The grid scan's fixed rule as two separate Gauss-Legendre rules:
-    the 48-point value and its distance to the 24-point one, which share
-    no node, so g is evaluated on 72 nodes. Same arguments and returns as
-    mmwlab.analytic._fixed_rule."""
-    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    fine, coarse = (np.ravel(half) * (g(mid + half * x) @ w)
-                    for x, w in _GL_48_24)
-    return fine, np.abs(fine - coarse)
+def quad(f, a: float, b: float) -> float:
+    """QUADPACK's adaptive integral of the float function f from a to b, at
+    the package's tolerances and subdivision limit; 0 if b <= a."""
+    if b <= a:
+        return 0.0
+    out = integrate.quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL,
+                         limit=_LIMIT, full_output=1)
+    if len(out) > 3:
+        raise QuadratureError(
+            f"quadrature did not converge on [{a:g}, {b:g}]; "
+            f"achieved abs error {out[1]:.3e}", achieved_abs_err=float(out[1]))
+    return float(out[0])
 
 
 def _band(lo: float, hi: float, f_lo, f_hi):
@@ -276,10 +277,12 @@ def _band(lo: float, hi: float, f_lo, f_hi):
     return f_hi - f_lo if hi > lo else 0.0
 
 
-# The coverage integrands as two hand-unrolled closures, one per UE class;
-# the package builds both from one panel table.
-def coverage_far(params, beta: float) -> float:
-    """Coverage P(SINR > t) of a typical open-space UE, clamped to [0, 1].
+# The coverage integrands as two hand-unrolled closures on floats, one per
+# UE class, integrated by QUADPACK; the package builds both from one panel
+# table and integrates them on arrays.
+def far_integrand(params, beta: float):
+    """(inner, (r_beta, r_l)): the coverage integrand of a typical
+    open-space UE over [0, r_l], with its kink at r_beta.
 
     Serving BS is the nearest in the mean-LOS disk; interferers closer
     than the dedicated-BS radius are beam-thinned, farther ones are
@@ -308,7 +311,14 @@ def coverage_far(params, beta: float) -> float:
             * math.exp(-math.pi * lam_b * r * r * (1.0 + bands)) \
             * snr(r)
 
-    val = _quad(inner, 0.0, r_b) + _quad(inner, r_b, r_l)
+    return inner, (r_b, r_l)
+
+
+def coverage_far(params, beta: float) -> float:
+    """Coverage of a typical open-space UE, clamped to [0, 1], by QUADPACK
+    on the pieces of [0, r_l] on either side of the integrand's kink."""
+    inner, (r_b, r_l) = far_integrand(params, beta)
+    val = quad(inner, 0.0, r_b) + quad(inner, r_b, r_l)
     return min(max(val, 0.0), 1.0)
 
 
@@ -355,9 +365,9 @@ def near_integrand(params, beta: float):
 
 
 def coverage_near(params, beta: float) -> float:
-    """Coverage of a typical wall-attached UE, clamped to [0, 1], by quad
-    on the pieces of [0, r_l] between the integrand's kinks."""
+    """Coverage of a typical wall-attached UE, clamped to [0, 1], by
+    QUADPACK on the pieces of [0, r_l] between the integrand's kinks."""
     inner, (r_1, r_eff, r_l) = near_integrand(params, beta)
-    val = _quad(inner, 0.0, r_1) + _quad(inner, r_1, r_eff) \
-        + _quad(inner, r_eff, r_l)
+    val = quad(inner, 0.0, r_1) + quad(inner, r_1, r_eff) \
+        + quad(inner, r_eff, r_l)
     return min(max(val, 0.0), 1.0)

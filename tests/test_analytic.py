@@ -7,7 +7,9 @@ test_simulate.py and the acceptance suite).
 """
 
 import functools
+import io
 import math
+from contextlib import redirect_stderr
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from scipy import integrate
 
 import mmwlab.analytic as A
+from mmwlab import cli
 from mmwlab.scenario import ScenarioParams, params_for_city, validate
 import oracles
 from oracles import band_integral
@@ -200,16 +203,33 @@ def _random_valid_scenarios(n, seed):
 BETAS = (0.0, 0.3, 0.7, 1.0)
 
 
-def test_panel_table_matches_the_unrolled_closures():
+def test_panel_integrand_and_coverage_match_the_quadpack_oracle():
+    # the panel table's array integrand against the hand-unrolled float
+    # closures at each panel's 49 nodes (their exponents round in another
+    # order, up to about 1,200 ulps apart where exp takes a large
+    # argument), and each class coverage against QUADPACK on the closures
+    x = A._gl_rules()[0]
     reached_zero = False
     for p in _random_valid_scenarios(100, seed=15):
         for b in BETAS:
-            assert A.coverage_near(p, b) == oracles.coverage_near(p, b)
-            far, ref = A.coverage_far(p, b), oracles.coverage_far(p, b)
-            # the far exponent rounds as (-c)*(r*r), the closure's as
-            # ((-c)*r)*r: a few ulps apart
-            assert abs(far - ref) <= 1e-14 * abs(ref)
-            reached_zero |= A._radii(p, b)[1] == 0.0
+            r_l, r_b, _ = A._radii(p, b)
+            tables = A._coverage_panels(p, r_l, np.full((1, 1), r_b))
+            refs = ((oracles.near_integrand, A.coverage_near,
+                     oracles.coverage_near),
+                    (oracles.far_integrand, A.coverage_far,
+                     oracles.coverage_far))
+            for (c, panels), (integrand, cover, quadpack) in zip(tables, refs):
+                g, inner = A._integrand(p, c), integrand(p, b)[0]
+                for lo, hi, weights, ends in panels:
+                    r = (hi + lo) / 2.0 + (hi - lo) / 2.0 * x
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        got = g(r, weights, ends)[0]
+                    np.testing.assert_allclose(
+                        got, [inner(float(v)) for v in r[0]], rtol=1e-12, atol=0)
+                ref = quadpack(p, b)
+                assert abs(cover(p, b) - ref) <= max(
+                    A._EPSABS, A._EPSREL * abs(ref)), (p, b)
+            reached_zero |= r_b == 0.0
     assert reached_zero
 
 
@@ -225,20 +245,6 @@ def test_coverage_near_meets_its_tolerance_across_the_kink():
                                  epsrel=1e-12, limit=200)[0]
             got = A.coverage_near(p, b)
             assert abs(got - ref) <= max(A._EPSABS, A._EPSREL * abs(ref)), (p, b)
-
-
-def test_integrand_branches_agree_on_every_panel():
-    for p in _random_valid_scenarios(30, seed=16):
-        for b in BETAS:
-            r_l, r_b, _ = A._radii(p, b)
-            for c, panels in A._coverage_panels(p, r_l, r_b):
-                for lo, hi, weights, ends in panels:
-                    if hi <= lo:
-                        continue
-                    g = A._integrand(p, c, weights, ends)
-                    rs = np.linspace(lo, hi, 52)[1:-1]
-                    np.testing.assert_allclose(
-                        g(rs), [g(float(r)) for r in rs], rtol=1e-12, atol=0)
 
 
 def test_coverage_small_threshold_limits():
@@ -619,70 +625,52 @@ RULE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RULE_CASES))
-def test_kronrod_pair_picks_as_the_48_24_pair(name, monkeypatch):
-    # the grid only picks the points the adaptive path evaluates: a wider
-    # bound would show as more quad calls before it moved an optimum
-    p = RULE_CASES[name]
-    calls = []
-    quad = A._quad
-    monkeypatch.setattr(A, "_quad",
-                        lambda f, a, b: calls.append(a) or quad(f, a, b))
+def test_grid_rows_equal_the_single_bias_calls_bit_for_bit():
+    # what lets the optimizers take the grid's argmax: each row is the
+    # value coverage_near and coverage_far return for its bias, bisected
+    # pieces included (the loose point bisects at alpha = 2)
+    cases = [*RULE_CASES.values(), *ORACLE_CASES.values(),
+             *_random_valid_scenarios(12, seed=21)]
+    for p in cases:
+        s_n, s_r = A._coverage_grid(p, GRID)
+        assert [*s_n] == [A.coverage_near(p, float(b)) for b in GRID], p
+        assert [*s_r] == [A.coverage_far(p, float(b)) for b in GRID], p
+    # the rule itself reduces each row on its own
+    r_l = A.los_distance(LOOSE.lambda_ell, LOOSE.d_l, LOOSE.d_w)
+    r_b = A.effective_mainlobe_radius(r_l, LOOSE.theta, GRID[:, None],
+                                      LOOSE.d_l)
+    for c, panels in A._coverage_panels(LOOSE, r_l, r_b):
+        g = A._integrand(LOOSE, c)
+        for lo, hi, weights, ends in panels:
+            def rows(k):
+                lo_k, hi_k, *ends_k = (v[k] if np.ndim(v) else v
+                                       for v in (lo, hi, *ends))
+                return A._fixed_rule(lambda r: g(r, weights, ends_k), lo_k, hi_k)
 
-    def solves():
-        out = []
-        for solve in (A.optimal_bias_coverage, A.optimal_bias_rate):
-            calls.clear()
-            out.append((solve(p), len(calls)))
-        return out
-
-    got = solves()
-    monkeypatch.setattr(A, "_fixed_rule", oracles.fixed_rule_48_24)
-    assert got == solves()
-
-
-def _assert_grid_within_bound(p, betas):
-    s_n, s_r, e_n, e_r = A._coverage_grid(p, betas)
-    for k, b in enumerate(betas):
-        assert abs(s_n[k] - A.coverage_near(p, b)) <= e_n[k], (p, b)
-        assert abs(s_r[k] - A.coverage_far(p, b)) <= e_r[k], (p, b)
-
-
-@pytest.mark.parametrize("city", ["default", "gangnam", "chicago", "random"])
-def test_coverage_grid_within_bound_of_adaptive(city):
-    if city == "random":
-        # alpha up to 4.5 and theta = pi/24 in every other scenario: where
-        # an adaptive call across the kink at r_eff used to miss
-        for p in _random_valid_scenarios(12, seed=21):
-            _assert_grid_within_bound(p, np.linspace(0.0, 1.0, 11))
-        return
-    base = P0 if city == "default" else params_for_city(city)
-    betas = np.linspace(0.0, 1.0, 6)
-    for alpha in (2.0, 2.5, 3.0, 4.0):
-        for theta in (math.pi / 24, math.pi / 6, math.pi / 3):
-            p = base.with_(alpha=alpha, theta=theta)
-            _assert_grid_within_bound(p, betas)
-            # theta = pi/24 reaches r_beta = 0 inside the grid
-            if theta == math.pi / 24:
-                r_l = A.los_distance(p.lambda_ell, p.d_l, p.d_w)
-                assert A.effective_mainlobe_radius(r_l, theta, 1.0, p.d_l) == 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                batch = rows(slice(None))
+                single = [rows(slice(k, k + 1)) for k in range(len(GRID))]
+            for got, want in zip(batch, zip(*single)):
+                assert np.array_equal(got, np.concatenate(want))
 
 
-@pytest.mark.parametrize("solve", [A.optimal_bias_coverage, A.optimal_bias_rate])
-def test_nan_in_fixed_rule_at_winning_cell_keeps_optimum(solve, monkeypatch):
-    want = solve(P0)
-    # the winning cell is one of the two grid points around beta*
-    x = want[0] * (A._GRID_POINTS - 1)
-    cells = [math.floor(x), math.ceil(x)]
-    grid = A._coverage_grid
-
-    def broken(params, betas):
-        s_n, s_r, e_n, e_r = grid(params, betas)
-        s_n[cells] = s_r[cells] = np.nan
-        return s_n, s_r, e_n, e_r
-
-    monkeypatch.setattr(A, "_coverage_grid", broken)
-    assert solve(P0) == want
+def test_a_quadrature_failure_is_never_hidden(monkeypatch, tmp_path):
+    with monkeypatch.context() as m:
+        m.setattr(A, "_LIMIT", 4)
+        with pytest.raises(A.QuadratureError) as failed:
+            A.optimal_bias_rate(LOOSE)
+    assert math.isfinite(failed.value.achieved_abs_err)
+    assert failed.value.achieved_abs_err > 0.0
+    # an integrand that is not finite raises instead of returning NaN
+    monkeypatch.setattr(A, "_snr_survival", lambda params: lambda r: r * np.nan)
+    for fn in (A.coverage_near, A.coverage_far):
+        with pytest.raises(A.QuadratureError):
+            fn(P0, 0.5)
+    with pytest.raises(A.QuadratureError):
+        A.optimal_bias_coverage(P0)
+    with redirect_stderr(io.StringIO()):
+        code = cli.main(["analytic", "--out", str(tmp_path / "a.csv")])
+    assert code == cli.EXIT_NUMERIC
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ span tracer (bench/tracer.py) wraps layer functions at the names their
 callers look them up by. Both break quietly when a name moves, so both
 are checked here, as is the line between the package and the scalar
 reference code in `tests/oracles.py`, which the package must not import,
-the package's one adaptive quadrature call site, its one use of `hyp2f1`,
-and the absence of `numpy.linalg` from it.
+the absence of QUADPACK's `quad` from the package, its one use of
+`hyp2f1`, and the absence of `numpy.linalg` from it.
 """
 
 import ast
@@ -32,7 +32,7 @@ REACHED = {
     "association.classify_many", "association.associate_all",
     "association.schedule", "analytic.optimal_bias_rate",
     "analytic.average_rate", "analytic.coverage_near", "analytic.coverage_far",
-    "analytic.mean_load_near", "analytic.mean_load_far", "analytic.quad",
+    "analytic.mean_load_near", "analytic.mean_load_far",
     "analytic.los_distance", "analytic.ue_densities",
     "analytic.effective_mainlobe_radius", "simulate.estimate",
     "simulate.realize",
@@ -84,16 +84,16 @@ def test_package_never_imports_the_test_oracles():
     assert bad == []
 
 
-def test_quad_is_called_only_from_analytic_quad():
-    # the traced analytic.quad count and the QuadratureError check both
-    # rest on this one call site
+def test_package_makes_no_quad_call():
+    # every coverage comes from the package's own adaptive Gauss-Kronrod
+    # routine; QUADPACK is a reference in tests/oracles.py only
     calls = [where for where, node in _package_nodes()
              if isinstance(node, ast.Call) and _names(node.func) == ["quad"]]
-    assert calls == ["analytic.py:_quad"]
+    assert calls == []
 
 
 def test_hyp2f1_is_used_only_by_the_band_antiderivative():
-    # one implementation of the band integral, for quad and the grid alike
+    # one implementation of the band integral, for every coverage value
     refs = {where for where, node in _package_nodes()
             if "hyp2f1" in _names(node)}
     assert refs == {"analytic.py:_band_antiderivative"}

@@ -1,9 +1,9 @@
 """Start-up cost: scipy loads only where the closed forms run.
 
 scipy is most of the time a fresh `import mmwlab` would take, and neither
-drop engine uses it, so `mmwlab.analytic` imports it on first use. Each
-check runs in a fresh interpreter, because this one has long since
-imported scipy.
+drop engine uses it, so `mmwlab.analytic` imports `scipy.special` on
+first use, and never `scipy.integrate`. Each check runs in a fresh
+interpreter, because this one has long since imported scipy.
 """
 
 import os
@@ -48,15 +48,16 @@ assert loaded() == [], "sweep"
 
 import mmwlab.analytic
 mmwlab.analytic.optimal_bias_rate(ScenarioParams())
-assert loaded() == list(SCIPY), "closed form"
-import scipy.integrate
-assert mmwlab.analytic.integrate is scipy.integrate
+mmwlab.analytic.optimal_bias_coverage(ScenarioParams(alpha=3.0))
+assert loaded() == ["scipy.special"], "closed form"
+# the benchmark's span tracer still finds the name it reads
+assert mmwlab.analytic.integrate is sys.modules["scipy.integrate"]
 """
 
 ANALYTIC_SWEEP = PRELUDE + """
 sweep("analytic")
 assert "concurrent.futures.process" in sys.modules, "no pool was built"
-assert loaded() == list(SCIPY), "parent"
+assert loaded() == ["scipy.special"], "parent"
 """
 
 
