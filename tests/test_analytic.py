@@ -203,22 +203,18 @@ def _random_valid_scenarios(n, seed):
 BETAS = (0.0, 0.3, 0.7, 1.0)
 
 
-def test_panel_integrand_and_coverage_match_the_quadpack_oracle():
+def test_integrand_branches_agree_on_every_panel():
     # the panel table's array integrand against the hand-unrolled float
     # closures at each panel's 49 nodes (their exponents round in another
-    # order, up to about 1,200 ulps apart where exp takes a large
-    # argument), and each class coverage against QUADPACK on the closures
+    # order, up to about 1,200 ulps apart where exp takes a large argument)
     x = A._gl_rules()[0]
     reached_zero = False
     for p in _random_valid_scenarios(100, seed=15):
         for b in BETAS:
             r_l, r_b, _ = A._radii(p, b)
             tables = A._coverage_panels(p, r_l, np.full((1, 1), r_b))
-            refs = ((oracles.near_integrand, A.coverage_near,
-                     oracles.coverage_near),
-                    (oracles.far_integrand, A.coverage_far,
-                     oracles.coverage_far))
-            for (c, panels), (integrand, cover, quadpack) in zip(tables, refs):
+            closures = (oracles.near_integrand, oracles.far_integrand)
+            for (c, panels), integrand in zip(tables, closures):
                 g, inner = A._integrand(p, c), integrand(p, b)[0]
                 for lo, hi, weights, ends in panels:
                     r = (hi + lo) / 2.0 + (hi - lo) / 2.0 * x
@@ -226,11 +222,20 @@ def test_panel_integrand_and_coverage_match_the_quadpack_oracle():
                         got = g(r, weights, ends)[0]
                     np.testing.assert_allclose(
                         got, [inner(float(v)) for v in r[0]], rtol=1e-12, atol=0)
+            reached_zero |= r_b == 0.0
+    assert reached_zero
+
+
+def test_panel_table_matches_the_unrolled_closures():
+    # each class coverage against QUADPACK on the closures, at the
+    # package's tolerance
+    for p in _random_valid_scenarios(100, seed=15):
+        for b in BETAS:
+            for cover, quadpack in ((A.coverage_near, oracles.coverage_near),
+                                    (A.coverage_far, oracles.coverage_far)):
                 ref = quadpack(p, b)
                 assert abs(cover(p, b) - ref) <= max(
                     A._EPSABS, A._EPSREL * abs(ref)), (p, b)
-            reached_zero |= r_b == 0.0
-    assert reached_zero
 
 
 def test_coverage_near_meets_its_tolerance_across_the_kink():
@@ -625,22 +630,25 @@ RULE_CASES = {
 }
 
 
-def test_grid_rows_equal_the_single_bias_calls_bit_for_bit():
+def _assert_grid_rows_are_the_single_bias_calls(p):
     # what lets the optimizers take the grid's argmax: each row is the
     # value coverage_near and coverage_far return for its bias, bisected
-    # pieces included (the loose point bisects at alpha = 2)
-    cases = [*RULE_CASES.values(), *ORACLE_CASES.values(),
-             *_random_valid_scenarios(12, seed=21)]
-    for p in cases:
-        s_n, s_r = A._coverage_grid(p, GRID)
-        assert [*s_n] == [A.coverage_near(p, float(b)) for b in GRID], p
-        assert [*s_r] == [A.coverage_far(p, float(b)) for b in GRID], p
-    # the rule itself reduces each row on its own
-    r_l = A.los_distance(LOOSE.lambda_ell, LOOSE.d_l, LOOSE.d_w)
-    r_b = A.effective_mainlobe_radius(r_l, LOOSE.theta, GRID[:, None],
-                                      LOOSE.d_l)
-    for c, panels in A._coverage_panels(LOOSE, r_l, r_b):
-        g = A._integrand(LOOSE, c)
+    # pieces included
+    s_n, s_r = A._coverage_grid(p, GRID)
+    assert [*s_n] == [A.coverage_near(p, float(b)) for b in GRID], p
+    assert [*s_r] == [A.coverage_far(p, float(b)) for b in GRID], p
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_kronrod_pair_picks_as_the_48_24_pair(name, monkeypatch):
+    p = RULE_CASES[name]
+    # the loose point bisects at alpha = 2
+    _assert_grid_rows_are_the_single_bias_calls(p)
+    # the rule reduces each row on its own
+    r_l = A.los_distance(p.lambda_ell, p.d_l, p.d_w)
+    r_b = A.effective_mainlobe_radius(r_l, p.theta, GRID[:, None], p.d_l)
+    for c, panels in A._coverage_panels(p, r_l, r_b):
+        g = A._integrand(p, c)
         for lo, hi, weights, ends in panels:
             def rows(k):
                 lo_k, hi_k, *ends_k = (v[k] if np.ndim(v) else v
@@ -652,6 +660,63 @@ def test_grid_rows_equal_the_single_bias_calls_bit_for_bit():
                 single = [rows(slice(k, k + 1)) for k in range(len(GRID))]
             for got, want in zip(batch, zip(*single)):
                 assert np.array_equal(got, np.concatenate(want))
+    # the 48/24 Gauss pair, integrating to the same tolerance, moves no
+    # optimum
+    solves = (A.optimal_bias_coverage, A.optimal_bias_rate)
+    got = [solve(p) for solve in solves]
+    monkeypatch.setattr(A, "_fixed_rule", oracles.fixed_rule_48_24)
+    for (beta, value), solve in zip(got, solves):
+        beta_ref, value_ref = solve(p)
+        assert beta == beta_ref, solve.__name__
+        assert abs(value - value_ref) <= A._EPSREL * abs(value_ref)
+
+
+@pytest.mark.parametrize("city", ["default", "gangnam", "chicago", "random"])
+def test_coverage_grid_within_bound_of_adaptive(city):
+    # the grid's bound on its distance to the single-bias calls is zero
+    if city == "random":
+        # alpha up to 4.5 and theta = pi/24 in every other scenario
+        for p in _random_valid_scenarios(12, seed=21):
+            _assert_grid_rows_are_the_single_bias_calls(p)
+        return
+    base = P0 if city == "default" else params_for_city(city)
+    for alpha in (2.0, 2.5, 3.0, 4.0):
+        for theta in (math.pi / 24, math.pi / 6, math.pi / 3):
+            _assert_grid_rows_are_the_single_bias_calls(
+                base.with_(alpha=alpha, theta=theta))
+            # theta = pi/24 reaches r_beta = 0 inside the grid
+            if theta == math.pi / 24:
+                r_l = A.los_distance(base.lambda_ell, base.d_l, base.d_w)
+                assert A.effective_mainlobe_radius(r_l, theta, 1.0, base.d_l) == 0.0
+    for name, p in ORACLE_CASES.items():
+        if name.startswith(city):
+            _assert_grid_rows_are_the_single_bias_calls(p)
+
+
+@pytest.mark.parametrize("solve", [A.optimal_bias_coverage, A.optimal_bias_rate])
+def test_nan_in_fixed_rule_at_winning_cell_keeps_optimum(solve, monkeypatch):
+    want = solve(P0)
+    # the winning cell is one of the two grid points around beta*
+    x = want[0] * (A._GRID_POINTS - 1)
+    cells = [math.floor(x), math.ceil(x)]
+    rule, hits = A._fixed_rule, []
+
+    def broken(g, lo, hi):
+        # NaN on the grid's whole-panel pass only: a bisected batch has an
+        # even number of rows, the grid an odd one
+        def g_nan(r):
+            f = g(r)
+            if len(f) == A._GRID_POINTS:
+                hits.append(len(f))
+                f[cells] = np.nan
+            return f
+        return rule(g_nan, lo, hi)
+
+    monkeypatch.setattr(A, "_fixed_rule", broken)
+    # the NaN rows are bisected and integrated again from their halves
+    assert solve(P0) == want
+    assert hits
+    assert np.isfinite(A._coverage_grid(P0, GRID)).all()
 
 
 def test_a_quadrature_failure_is_never_hidden(monkeypatch, tmp_path):
